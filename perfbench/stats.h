@@ -1,0 +1,29 @@
+// Order statistics the benchmark reports.
+#ifndef PERFBENCH_STATS_H_
+#define PERFBENCH_STATS_H_
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+namespace espk::perfbench {
+
+// Linear-interpolated quantile, q in [0, 1]; 0 for no samples.
+inline double Quantile(std::vector<double> v, double q) {
+  if (v.empty()) {
+    return 0.0;
+  }
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+inline double Median(std::vector<double> v) {
+  return Quantile(std::move(v), 0.5);
+}
+
+}  // namespace espk::perfbench
+
+#endif  // PERFBENCH_STATS_H_
