@@ -1,26 +1,25 @@
-// Fleet-scale throughput of the sharded runtime: the same fleet (one
-// channel, N tuned speakers, music-like source) is driven for a fixed
-// stretch of simulated time on the classic single-loop path (zones=1) and
-// on the sharded path (4 per-zone event loops, zone-batched delivery, SPSC
-// handoff), and the host-side wall clock per delivered packet is compared.
+// Fleet-scale throughput of the runtime: the same fleet (one channel, N
+// tuned speakers, music-like source) is driven for a fixed stretch of
+// simulated time as a classic single-loop system (zones=1) and as a
+// sharded one (4 per-zone event loops, SPSC handoff), and the host-side
+// wall clock per delivered packet is reported for both.
 //
-// The sharded speedup on one core comes from event-count collapse, not
-// parallelism: the classic path schedules ~3 simulator events per packet
-// PER SPEAKER (delivery, decode, play), while the zone path posts ONE
-// cross-shard message per (packet, zone), parses once per zone, and runs
-// one grouped decode/play event per distinct instant. At 1000 speakers in
-// 4 zones that is ~750x fewer events per packet for the same per-speaker
-// decode work — the acceptance bar is >=3x packets/sec at the 1k tier.
+// Both arms deliver through zone batches: the segment hands each zone ONE
+// message per packet, the zone parses once, and runs one grouped
+// decode/play event per distinct instant. Delivering per NIC instead
+// costs ~3 simulator events per packet PER SPEAKER (arrival, decode,
+// play); the batched path costs a handful per packet per zone. The
+// structural bar is simulation events per delivery <= 1.0 at the 1k tier,
+// for both arms — machine-independent, so it gets no noise margin.
 //
-// A rider microbench isolates the engine swap underneath both paths: N
+// A rider microbench times the event engine underneath both arms: N
 // pseudo-random timers scheduled and dispatched through the hierarchical
-// timer wheel + open-addressing EventMap (QueueEngine::kTimerWheel, the
-// default) vs the retained binary-heap + hash-map oracle (kBinaryHeap).
+// timer wheel + open-addressing EventMap.
 //
 // The emitted BENCH_fleet.json is validated by bench_gate against
 // bench/baselines/BENCH_fleet_baseline.json: classic and sharded modes
 // must deliver IDENTICAL packet counts (the determinism contract, gated
-// structurally), the 1k-tier speedup must hold, and the sharded
+// structurally), events per delivery must stay <= 1.0, and the sharded
 // ns/delivery gets the shared-machine noise margin. `--quick` (used by the
 // espk_bench_smoke ctest) shortens the simulated windows; the 10k-speaker
 // tier runs even in quick mode so the smoke test proves the big
@@ -53,16 +52,56 @@ struct FleetMeasurement {
   uint64_t deliveries = 0;  // Per-receiver data-packet deliveries.
   uint64_t chunks_played = 0;
   uint64_t messages_posted = 0;
+  uint64_t events = 0;  // Simulation events processed, all shards.
   double wall_ms = 0.0;
   double packets_per_sec = 0.0;   // Deliveries processed per wall second.
   double ns_per_delivery = 0.0;   // Wall ns per packet per speaker.
+  double events_per_delivery = 0.0;
 };
+
+uint64_t EventsProcessed(EthernetSpeakerSystem* system) {
+  uint64_t events = 0;
+  for (int z = 0; z < system->zones(); ++z) {
+    events += system->zone_sim(z)->events_processed();
+  }
+  return events;
+}
+
+// Fills the per-run fields shared by both fleet shapes; the events counted
+// are those of the timed window only.
+FleetMeasurement Measure(EthernetSpeakerSystem* system, int speakers,
+                         int zones, int sim_ms) {
+  using Clock = std::chrono::steady_clock;
+  const uint64_t events0 = EventsProcessed(system);
+  const auto t0 = Clock::now();
+  system->RunUntil(Milliseconds(sim_ms));
+  const auto t1 = Clock::now();
+
+  FleetMeasurement m;
+  m.speakers = speakers;
+  m.zones = zones;
+  m.deliveries = system->lan()->stats().deliveries;
+  m.messages_posted = system->shards()->messages_posted();
+  m.events = EventsProcessed(system) - events0;
+  for (const auto& speaker : system->speakers()) {
+    m.chunks_played += speaker->stats().chunks_played;
+  }
+  const double wall_ns =
+      std::chrono::duration<double, std::nano>(t1 - t0).count();
+  m.wall_ms = wall_ns / 1e6;
+  if (m.deliveries > 0) {
+    m.ns_per_delivery = wall_ns / static_cast<double>(m.deliveries);
+    m.packets_per_sec = static_cast<double>(m.deliveries) / (wall_ns / 1e9);
+    m.events_per_delivery =
+        static_cast<double>(m.events) / static_cast<double>(m.deliveries);
+  }
+  return m;
+}
 
 // One channel, `speakers` tuned speakers, 4 ms phone-quality packets (the
 // per-packet decode work is deliberately small so the run measures the
-// runtime's per-event machinery, which is what sharding collapses).
+// runtime's per-event machinery, which is what zone batching collapses).
 FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
-  using Clock = std::chrono::steady_clock;
   SystemOptions options;
   options.sharded.zones = zones;
   options.sharded.threads = 1;  // One core: the win is serial, not parallel.
@@ -89,26 +128,7 @@ FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
     std::exit(1);
   }
 
-  const auto t0 = Clock::now();
-  system.RunUntil(Milliseconds(sim_ms));
-  const auto t1 = Clock::now();
-
-  FleetMeasurement m;
-  m.speakers = speakers;
-  m.zones = zones;
-  m.deliveries = system.lan()->stats().deliveries;
-  m.messages_posted = system.shards()->messages_posted();
-  for (const auto& speaker : system.speakers()) {
-    m.chunks_played += speaker->stats().chunks_played;
-  }
-  const double wall_ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  m.wall_ms = wall_ns / 1e6;
-  if (m.deliveries > 0) {
-    m.ns_per_delivery = wall_ns / static_cast<double>(m.deliveries);
-    m.packets_per_sec = static_cast<double>(m.deliveries) / (wall_ns / 1e9);
-  }
-  return m;
+  return Measure(&system, speakers, zones, sim_ms);
 }
 
 // Multi-channel tier: `channels` concurrent streams with the speaker fleet
@@ -118,7 +138,6 @@ FleetMeasurement MeasureFleet(int speakers, int zones, int sim_ms) {
 // still agree exactly.
 FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
                                           int zones, int sim_ms) {
-  using Clock = std::chrono::steady_clock;
   SystemOptions options;
   options.sharded.zones = zones;
   options.sharded.threads = 1;
@@ -154,34 +173,15 @@ FleetMeasurement MeasureMultiChannelFleet(int channels, int speakers,
     }
   }
 
-  const auto t0 = Clock::now();
-  system.RunUntil(Milliseconds(sim_ms));
-  const auto t1 = Clock::now();
-
-  FleetMeasurement m;
-  m.speakers = speakers;
-  m.zones = zones;
-  m.deliveries = system.lan()->stats().deliveries;
-  m.messages_posted = system.shards()->messages_posted();
-  for (const auto& speaker : system.speakers()) {
-    m.chunks_played += speaker->stats().chunks_played;
-  }
-  const double wall_ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  m.wall_ms = wall_ns / 1e6;
-  if (m.deliveries > 0) {
-    m.ns_per_delivery = wall_ns / static_cast<double>(m.deliveries);
-    m.packets_per_sec = static_cast<double>(m.deliveries) / (wall_ns / 1e9);
-  }
-  return m;
+  return Measure(&system, speakers, zones, sim_ms);
 }
 
 // Engine microbench: schedule `events` callbacks at pseudo-random times in
 // a 1 s window, then dispatch them all. Covers the full per-event path —
-// wheel/heap insert, EventMap/hash-map callback storage, pop, erase.
-double MeasureEngineNsPerEvent(QueueEngine engine, int events) {
+// wheel insert, EventMap callback storage, pop, erase.
+double MeasureEngineNsPerEvent(int events) {
   using Clock = std::chrono::steady_clock;
-  Simulation sim(engine);
+  Simulation sim;
   uint64_t lcg = 0x9e3779b97f4a7c15ull;
   volatile uint64_t sink = 0;
   const auto t0 = Clock::now();
@@ -200,8 +200,8 @@ int RunFleetBench(bool quick) {
   PrintHeader("A9",
               "fleet-scale sharded runtime: packets/sec, 1 loop vs 4 zones");
   PrintPaperNote(
-      "one multicast transmission reaches every speaker (§2.2); the zone "
-      "path extends that to the simulator itself: one handoff per zone "
+      "one multicast transmission reaches every speaker (§2.2); zone "
+      "batching extends that to the simulator itself: one handoff per zone "
       "and one grouped decode/play event per instant, instead of three "
       "events per packet per speaker");
 
@@ -221,7 +221,7 @@ int RunFleetBench(bool quick) {
   FleetMeasurement classic[3];
   FleetMeasurement sharded[3];
   Table table({"speakers", "mode", "deliveries", "wall ms", "us/delivery",
-               "pkts/sec", "speedup"});
+               "pkts/sec", "speedup", "events/delivery"});
   for (int t = 0; t < 3; ++t) {
     // Best-of-N at the gated 1k tier: each run is hundreds of milliseconds,
     // so a single sample is at the mercy of the host scheduler; the minimum
@@ -249,18 +249,20 @@ int RunFleetBench(bool quick) {
                std::to_string(classic[t].deliveries),
                Fmt(classic[t].wall_ms, 1),
                Fmt(classic[t].ns_per_delivery / 1000.0),
-               Fmt(classic[t].packets_per_sec / 1e6) + "M", "1.00"});
+               Fmt(classic[t].packets_per_sec / 1e6) + "M", "1.00",
+               Fmt(classic[t].events_per_delivery, 3)});
     table.Row({std::to_string(tiers[t].speakers),
                std::to_string(kZones) + " zones",
                std::to_string(sharded[t].deliveries),
                Fmt(sharded[t].wall_ms, 1),
                Fmt(sharded[t].ns_per_delivery / 1000.0),
-               Fmt(sharded[t].packets_per_sec / 1e6) + "M", Fmt(speedup)});
+               Fmt(sharded[t].packets_per_sec / 1e6) + "M", Fmt(speedup),
+               Fmt(sharded[t].events_per_delivery, 3)});
   }
 
   // Structural sanity inside the harness itself: both modes must have
-  // simulated the same fleet, and the sharded mode must actually have used
-  // the zone path.
+  // simulated the same fleet, the classic mode must have stayed on its one
+  // shard, and the sharded mode must actually have posted across shards.
   for (int t = 0; t < 3; ++t) {
     if (classic[t].deliveries == 0 ||
         classic[t].deliveries != sharded[t].deliveries) {
@@ -281,8 +283,12 @@ int RunFleetBench(bool quick) {
       return 1;
     }
     if (classic[t].messages_posted != 0 || sharded[t].messages_posted == 0) {
-      std::fprintf(stderr, "FAIL: tier %d zone path not exercised\n",
-                   classic[t].speakers);
+      std::fprintf(stderr,
+                   "FAIL: tier %d posted %llu (classic) / %llu (sharded) "
+                   "cross-shard messages; want 0 / > 0\n",
+                   classic[t].speakers,
+                   static_cast<unsigned long long>(classic[t].messages_posted),
+                   static_cast<unsigned long long>(sharded[t].messages_posted));
       return 1;
     }
   }
@@ -302,14 +308,15 @@ int RunFleetBench(bool quick) {
              std::to_string(multi_classic.deliveries),
              Fmt(multi_classic.wall_ms, 1),
              Fmt(multi_classic.ns_per_delivery / 1000.0),
-             Fmt(multi_classic.packets_per_sec / 1e6) + "M", "1.00"});
+             Fmt(multi_classic.packets_per_sec / 1e6) + "M", "1.00",
+             Fmt(multi_classic.events_per_delivery, 3)});
   table.Row({std::to_string(kSpeakersMulti) + "/4ch",
              std::to_string(kZones) + " zones",
              std::to_string(multi_sharded.deliveries),
              Fmt(multi_sharded.wall_ms, 1),
              Fmt(multi_sharded.ns_per_delivery / 1000.0),
              Fmt(multi_sharded.packets_per_sec / 1e6) + "M",
-             Fmt(multi_speedup)});
+             Fmt(multi_speedup), Fmt(multi_sharded.events_per_delivery, 3)});
   if (multi_classic.deliveries == 0 ||
       multi_classic.deliveries != multi_sharded.deliveries ||
       multi_classic.chunks_played != multi_sharded.chunks_played) {
@@ -328,14 +335,10 @@ int RunFleetBench(bool quick) {
   }
 
   const int engine_events = quick ? 100000 : 400000;
-  const double heap_ns =
-      MeasureEngineNsPerEvent(QueueEngine::kBinaryHeap, engine_events);
-  const double wheel_ns =
-      MeasureEngineNsPerEvent(QueueEngine::kTimerWheel, engine_events);
+  const double wheel_ns = MeasureEngineNsPerEvent(engine_events);
   std::printf(
-      "engine microbench (%d events): timer wheel + EventMap %.0f ns/event, "
-      "binary heap + hash map %.0f ns/event (%.2fx)\n",
-      engine_events, wheel_ns, heap_ns, heap_ns / wheel_ns);
+      "engine microbench (%d events): timer wheel + EventMap %.0f ns/event\n",
+      engine_events, wheel_ns);
 
   JsonWriter json;
   json.Str("bench", "fleet");
@@ -363,6 +366,8 @@ int RunFleetBench(bool quick) {
            sharded[1].packets_per_sec / classic[1].packets_per_sec);
   json.Num("speedup_large",
            sharded[2].packets_per_sec / classic[2].packets_per_sec);
+  json.Num("classic_events_per_delivery_mid", classic[1].events_per_delivery);
+  json.Num("sharded_events_per_delivery_mid", sharded[1].events_per_delivery);
   json.Num("classic_ns_per_delivery_large", classic[2].ns_per_delivery);
   json.Num("sharded_ns_per_delivery_large", sharded[2].ns_per_delivery);
   json.Int("multichannel_channels", kMultiChannels);
@@ -373,7 +378,6 @@ int RunFleetBench(bool quick) {
   json.Num("multichannel_sharded_pps", multi_sharded.packets_per_sec);
   json.Num("multichannel_speedup", multi_speedup);
   json.Num("wheel_ns_per_event", wheel_ns);
-  json.Num("heap_ns_per_event", heap_ns);
   if (!json.WriteFile("BENCH_fleet.json")) {
     return 1;
   }

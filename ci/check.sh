@@ -34,6 +34,12 @@
 #      view (directory registrations, runtime subscribe/unsubscribe churn,
 #      zone policy enforcement, the dashboard section splice) must be
 #      byte-identical across runs.
+#   8. perfbench digest check: the repository benchmark (perfbench/) is
+#      built the way perfbench/run.py builds it (a Release tree in
+#      .bench_build/), and input variants 0-7 of every BENCHMARK.json
+#      workload must reproduce their recorded perfbench/digests.json
+#      digests — speaker stats, segment stats and rendered PCM are
+#      bit-identical to the recorded runs.
 #
 # Usage: ci/check.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -41,14 +47,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "==> [1/7] Debug + ASan/UBSan: configure, build, ctest"
+echo "==> [1/8] Debug + ASan/UBSan: configure, build, ctest"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DESPK_SANITIZE="address;undefined"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "==> [2/7] TSan: sharded runtime suite under ThreadSanitizer"
+echo "==> [2/8] TSan: sharded runtime suite under ThreadSanitizer"
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DESPK_SANITIZE=thread
@@ -58,12 +64,12 @@ cmake --build build-tsan -j "$JOBS" --target \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'spsc_queue_test|timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
 
-echo "==> [3/7] Release: configure, build, bench smoke gate"
+echo "==> [3/8] Release: configure, build, bench smoke gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "==> [4/7] Release example smoke run"
+echo "==> [4/8] Release example smoke run"
 EXAMPLES_DIR="$(pwd)/build-release/examples"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
@@ -74,25 +80,52 @@ for example in quickstart building_pa internet_radio netboot_demo \
   (cd "$SCRATCH" && "$EXAMPLES_DIR/$example" > "$example.out")
 done
 
-echo "==> [5/7] fleet_dashboard golden-output check"
+echo "==> [5/8] fleet_dashboard golden-output check"
 if ! diff -u ci/golden/fleet_dashboard.out "$SCRATCH/fleet_dashboard.out"; then
   echo "FAIL: fleet_dashboard output drifted from ci/golden/fleet_dashboard.out"
   exit 1
 fi
 echo "--> fleet_dashboard output matches golden"
 
-echo "==> [6/7] latency_budget golden-output check"
+echo "==> [6/8] latency_budget golden-output check"
 if ! diff -u ci/golden/latency_budget.out "$SCRATCH/latency_budget.out"; then
   echo "FAIL: latency_budget output drifted from ci/golden/latency_budget.out"
   exit 1
 fi
 echo "--> latency_budget output matches golden"
 
-echo "==> [7/7] subscriptions golden-output check"
+echo "==> [7/8] subscriptions golden-output check"
 if ! diff -u ci/golden/subscriptions.out "$SCRATCH/subscriptions.out"; then
   echo "FAIL: subscriptions output drifted from ci/golden/subscriptions.out"
   exit 1
 fi
 echo "--> subscriptions output matches golden"
+
+echo "==> [8/8] perfbench digest check: variants 0-7 of every workload"
+if [ ! -f .bench_build/CMakeCache.txt ]; then
+  GENERATOR=()
+  if command -v ninja > /dev/null; then
+    GENERATOR=(-G Ninja)
+  fi
+  cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release \
+    "${GENERATOR[@]}"
+fi
+cmake --build .bench_build --target espk_perfbench -j "$JOBS"
+WORKLOADS="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+for workload in $WORKLOADS; do
+  for variant in 0 1 2 3 4 5 6 7; do
+    got="$(.bench_build/espk_perfbench --workload "$workload" \
+             --seed "$variant" --digest-only)"
+    want="$(python3 -c 'import json, sys
+print(json.load(open("perfbench/digests.json"))[sys.argv[1]][sys.argv[2]])' \
+             "$workload" "$variant")"
+    if [ "$got" != "$want" ]; then
+      echo "FAIL: $workload variant $variant digest $got, recorded $want"
+      exit 1
+    fi
+    echo "--> $workload variant $variant: $got"
+  done
+done
 
 echo "==> ci/check.sh: all stages passed"

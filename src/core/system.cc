@@ -33,31 +33,29 @@ EthernetSpeakerSystem::EthernetSpeakerSystem(const SystemOptions& options)
   if (options_.background_daemon_rate > 0.0) {
     kernel_.StartBackgroundDaemons(options_.background_daemon_rate);
   }
-  if (shards_.shard_count() > 1) {
-    lan_.EnableSharding(&shards_, /*home_shard=*/0);
-    zone_tracers_.resize(static_cast<size_t>(shards_.shard_count()));
-    for (int z = 0; z < shards_.shard_count(); ++z) {
-      zone_tracers_[static_cast<size_t>(z)] =
-          std::make_unique<PacketTracer>(shards_.sim(z));
-      speaker_zones_.push_back(
-          std::make_unique<SpeakerZone>(shards_.sim(z)));
-      lan_.RegisterZoneSink(z, speaker_zones_.back().get());
-    }
+  // Every speaker is delivered through its zone's batch sink: one zone per
+  // shard, so a classic system has one zone holding every speaker.
+  lan_.EnableSharding(&shards_, /*home_shard=*/0);
+  for (int z = 0; z < zones(); ++z) {
+    speaker_zones_.push_back(std::make_unique<SpeakerZone>(shards_.sim(z)));
+    lan_.RegisterZoneSink(z, speaker_zones_.back().get());
   }
-  lan_.set_tracer(home_tracer());
   RegisterLanMetrics();
-  if (shards_.shard_count() > 1) {
-    // The zone tracers hold the ground truth (tracer_ is a mirror the
-    // ZoneCollector feeds at barriers); aggregate them so trace.* reads the
-    // same as the classic single-tracer values.
+  if (is_sharded()) {
+    // Every zone, zone 0 included, records into its own tracer: the ground
+    // truth (tracer_ is a mirror the ZoneCollector feeds at barriers).
+    // Aggregate them so trace.* reads the same as the classic single-tracer
+    // values.
     std::vector<const PacketTracer*> tracers;
-    for (const auto& tracer : zone_tracers_) {
-      tracers.push_back(tracer.get());
+    for (int z = 0; z < zones(); ++z) {
+      zone_tracers_.push_back(std::make_unique<PacketTracer>(shards_.sim(z)));
+      tracers.push_back(zone_tracers_.back().get());
     }
     RegisterTracerMetrics(std::move(tracers), &metrics_);
   } else {
     RegisterTracerMetrics(&tracer_, &metrics_);
   }
+  lan_.set_tracer(home_tracer());
 }
 
 void EthernetSpeakerSystem::RunUntil(SimTime t) {
@@ -277,16 +275,10 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
   const size_t index = speakers_.size();
   // Zone placement: block or round-robin per the sharded config. The
   // speaker's event loop, and the tracer its pipeline records into, are the
-  // zone's — zone 0 shares shard 0 (and tracer_) with the producers.
-  int zone = 0;
-  Simulation* zone_sim = &sim_;
-  if (shards_.shard_count() > 1) {
-    const int spz = options_.sharded.speakers_per_zone;
-    zone = spz > 0
-               ? static_cast<int>(index) / spz % shards_.shard_count()
-               : static_cast<int>(index) % shards_.shard_count();
-    zone_sim = shards_.sim(zone);
-  }
+  // zone's — zone 0 shares shard 0 with the producers.
+  const int spz = options_.sharded.speakers_per_zone;
+  const int zone = spz > 0 ? static_cast<int>(index) / spz % zones()
+                           : static_cast<int>(index) % zones();
   options.tracer = zone_tracer(zone);
   // Same per-station ownership as channels: the speaker's metrics live on
   // station "es-<i>" under local names, aliased into the system registry
@@ -297,16 +289,12 @@ Result<EthernetSpeaker*> EthernetSpeakerSystem::AddSpeaker(
       "Decode-completion time relative to the play deadline (ms; negative = "
       "early)");
   auto speaker =
-      std::make_unique<EthernetSpeaker>(zone_sim, nic.get(), options);
-  if (shards_.shard_count() > 1) {
-    // Route this NIC through the zone's batch sink: one delivery event per
-    // (packet, zone) instead of one per speaker. Every zone, including
-    // zone 0, takes the batched path so all speakers behave uniformly.
-    const int member =
-        speaker_zones_[static_cast<size_t>(zone)]->AddSpeaker(nic.get(),
-                                                              speaker.get());
-    lan_.AssignZone(nic.get(), zone, member);
-  }
+      std::make_unique<EthernetSpeaker>(shards_.sim(zone), nic.get(), options);
+  // Route this NIC through the zone's batch sink: one delivery event per
+  // (packet, zone) instead of one per speaker.
+  const int member = speaker_zones_[static_cast<size_t>(zone)]->AddSpeaker(
+      nic.get(), speaker.get());
+  lan_.AssignZone(nic.get(), zone, member);
   speaker_zone_index_.push_back(zone);
   EthernetSpeaker* sp = speaker.get();
   station->GetGauge(

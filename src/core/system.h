@@ -30,15 +30,19 @@
 
 namespace espk {
 
-// Fleet-scale sharding (src/sim/shard.h): with zones > 1 the system splits
-// its speakers into that many zones, each living on its own shard with its
-// own event loop and timer wheel; producers, the kernel, and the segment
-// stay on shard 0. Drive a sharded system through the system-level
-// RunUntil/RunFor/RunUntilIdle (which run the epoch loop), not sim()->Run*.
-// Results are deterministic and bit-identical whether zones = 1 or N and
-// whether threads = 1 or many — tests/sharded_determinism_test.cc pins it.
+// Fleet-scale sharding (src/sim/shard.h): the system splits its speakers
+// into `zones` zones, each living on its own shard with its own event loop
+// and timer wheel; producers, the kernel, and the segment stay on shard 0.
+// Every speaker is delivered through its zone's batch sink
+// (src/speaker/speaker_zone.h) whatever the zone count. Drive a sharded
+// system through the system-level RunUntil/RunFor/RunUntilIdle (which run
+// the epoch loop), not sim()->Run*. Results are deterministic and
+// bit-identical whether zones = 1 or N and whether threads = 1 or many —
+// tests/sharded_determinism_test.cc pins it.
 struct ShardedConfig {
-  int zones = 1;    // 1 = the classic single-loop system, path untouched.
+  // 1 = the classic single-loop system: one zone, on shard 0, holding every
+  // speaker.
+  int zones = 1;
   int threads = 1;  // Executor width incl. the caller; clamped to zones.
   bool pin_threads = false;
   // Epoch lookahead; 0 means "use lan.base_delay" (the minimum delivery
@@ -231,8 +235,12 @@ class EthernetSpeakerSystem {
     return speakers_;
   }
 
-  // The NIC a speaker was created with (management agents and catalog
-  // browsers share it with the speaker). Null for unknown speakers.
+  // The NIC a speaker was created with. Null for unknown speakers.
+  // Management agents and catalog browsers share it with the speaker: a
+  // receive handler installed on it takes the speaker out of its zone's
+  // batch and onto the per-datagram route (src/speaker/speaker_zone.h).
+  // Only speakers on shard 0 may be shared this way (zone 0 of a sharded
+  // system, every speaker of a classic one); debug builds assert it.
   SimNic* NicOf(const EthernetSpeaker* speaker);
 
   // ------------------------------------------------------- measurements --
@@ -295,9 +303,9 @@ class EthernetSpeakerSystem {
   // aliases in metrics_) point into; declared before the component vectors
   // so every instrumented component unwinds first.
   std::vector<std::unique_ptr<Station>> stations_;
-  // Sharded-mode plumbing, empty when zones = 1. Per-zone tracers (every
-  // zone, including zone 0, records into its own; tracer_ becomes the
-  // barrier-merged mirror) and the per-zone batch sinks. Declared before
+  // Per-zone tracers, empty when zones = 1 (sharded, every zone including
+  // zone 0 records into its own and tracer_ becomes the barrier-merged
+  // mirror), and the per-zone batch sinks, one per shard. Declared before
   // the speakers: a speaker's options_.tracer points at its zone tracer,
   // and zones hold borrowed speaker/NIC pointers — nothing here touches
   // them at destruction, but keep the conservative order.

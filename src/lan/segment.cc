@@ -44,6 +44,7 @@ void EthernetSegment::AssignZone(SimNic* nic, int shard, int member) {
          "RegisterZoneSink first");
   nic->zone_shard_ = shard;
   nic->zone_member_ = member;
+  nic->handler_ = nullptr;
 }
 
 void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
@@ -55,12 +56,12 @@ void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
       nic->groups_.erase(group);
     }
   };
-  const bool off_home = shards_ != nullptr && nic->zone_shard_ >= 0 &&
-                        nic->zone_shard_ != home_shard_;
+  const bool off_home =
+      nic->zone_shard_ >= 0 && nic->zone_shard_ != home_shard_;
   if (off_home && shards_->in_epoch()) {
     // Zone shard asking mid-epoch: marshal the mutation to the home shard,
     // where Transmit reads membership. Deferring by at least the lookahead
-    // keeps the Post legal; matching that deferral in the classic path is
+    // keeps the Post legal; matching that deferral in a single-shard run is
     // why cross-mode determinism needs join_latency >= lookahead.
     Simulation* src_sim = shards_->sim(nic->zone_shard_);
     const SimTime at =
@@ -151,7 +152,7 @@ void EthernetSegment::Transmit(const Datagram& datagram) {
       arrival += static_cast<SimDuration>(
           prng_.NextBelow(static_cast<uint64_t>(config_.jitter)));
     }
-    if (shards_ != nullptr && nic->zone_shard_ >= 0) {
+    if (nic->zone_shard_ >= 0) {
       ZoneBatch& batch = zone_batches_[static_cast<size_t>(nic->zone_shard_)];
       if (batch.entries.empty() || arrival < batch.min_arrival) {
         batch.min_arrival = arrival;
@@ -161,9 +162,7 @@ void EthernetSegment::Transmit(const Datagram& datagram) {
     }
     DeliverTo(nic, datagram, arrival);
   }
-  if (shards_ != nullptr) {
-    FlushZoneBatches(datagram);
-  }
+  FlushZoneBatches(datagram);
 }
 
 void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {
@@ -247,6 +246,11 @@ Status SimNic::SendUnicast(NodeId destination, BufferSlice payload,
 }
 
 void SimNic::SetReceiveHandler(ReceiveHandler handler) {
+  // A handler on a zone NIC runs on the zone's shard; off the home shard it
+  // would transmit into home-shard state mid-epoch.
+  assert((!handler || zone_shard_ < 0 ||
+          zone_shard_ == segment_->home_shard_) &&
+         "receive handlers on zone NICs are supported on the home shard only");
   handler_ = std::move(handler);
 }
 

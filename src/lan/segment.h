@@ -116,25 +116,31 @@ class EthernetSegment {
   // from IGMP, and what MSNIP would let a server ask for (§4.3).
   size_t GroupMemberCount(GroupId group) const;
 
-  // ---------------------------------------------- sharded fleet routing --
-  // The fleet-scale runtime (src/sim/shard.h) splits receivers into zones,
-  // each living on its own shard. The segment itself (and every sender)
-  // stays on `home_shard`; deliveries to zone-assigned NICs are batched —
-  // ONE cross-shard message per (packet, zone) carrying the shared payload
-  // slice plus a per-member entry list — instead of one event per receiver.
-  // Loss and jitter are still drawn per receiver in NIC creation order on
-  // the home shard, so the PRNG stream is bit-identical to the unsharded
-  // run. Requires shards->lookahead() <= base_delay (asserted): that is
-  // what makes every arrival land at or after the epoch barrier.
+  // ------------------------------------------------------ zone routing --
+  // The runtime (src/sim/shard.h) groups receivers into zones, each living
+  // on a shard of a ShardGroup; EthernetSpeakerSystem puts every speaker in
+  // one (a classic system is one zone on one shard). The segment itself
+  // (and every sender) stays on `home_shard`; deliveries to zone-assigned
+  // NICs are batched — ONE message per (packet, zone) carrying the shared
+  // payload slice plus a per-member entry list — instead of one event per
+  // receiver. NICs outside any zone get one event each (DeliverTo). Loss
+  // and jitter are drawn per receiver in NIC creation order on the home
+  // shard either way, so the PRNG stream does not depend on the zoning.
+  // Requires shards->lookahead() <= base_delay (asserted): that is what
+  // makes every arrival land at or after the epoch barrier.
   void EnableSharding(ShardGroup* shards, int home_shard);
   // Installs the sink that receives zone batches for `shard`.
   void RegisterZoneSink(int shard, ZoneSink* sink);
   // Routes `nic` through the zone path: deliveries go to shard `shard`'s
-  // sink tagged with `member` instead of the NIC's receive handler. Zone
-  // NICs may join/leave groups mid-run: the membership check runs on the
-  // home shard, so a request from the zone's shard is marshalled there via
-  // the epoch barrier and takes effect after max(join_latency, lookahead)
-  // (see RequestMembership below).
+  // sink tagged with `member`, and the NIC's current receive handler is
+  // dropped (the sink delivers to the member itself). A handler installed
+  // later marks the NIC as shared; the sink then hands it that member's
+  // datagrams through SimNic::HandleArrival — allowed only on the home
+  // shard (asserted in SetReceiveHandler). Zone NICs may join/leave groups
+  // mid-run: the membership check runs on the home shard, so a request
+  // from the zone's shard is marshalled there via the epoch barrier and
+  // takes effect after max(join_latency, lookahead) (see RequestMembership
+  // below).
   void AssignZone(SimNic* nic, int shard, int member);
 
  private:
@@ -165,7 +171,7 @@ class EthernetSegment {
   NodeId next_node_ = 1;
   SimTime medium_free_at_ = 0;  // CSMA-free abstraction: FIFO serialization.
   std::vector<SimNic*> nics_;
-  ShardGroup* shards_ = nullptr;  // Null: classic single-loop delivery.
+  ShardGroup* shards_ = nullptr;  // Null: no zones, every NIC DeliverTo.
   int home_shard_ = 0;
   std::vector<ZoneSink*> zone_sinks_;  // Indexed by shard.
   std::vector<ZoneBatch> zone_batches_;  // Scratch, reused per Transmit.
@@ -198,9 +204,13 @@ class SimNic : public Transport {
   uint64_t packets_received() const { return packets_received_; }
   uint64_t bytes_received() const { return bytes_received_; }
 
-  // Zone identity when routed through the sharded path (-1 = classic).
-  int zone_shard() const { return zone_shard_; }
-  int zone_member() const { return zone_member_; }
+  // True when a receive handler is installed. On a zone NIC that means a
+  // component sharing the NIC installed one after EthernetSegment::AssignZone
+  // dropped the original, and the zone sink must hand it the datagrams.
+  bool has_receive_handler() const { return static_cast<bool>(handler_); }
+  // Counts the arrival and runs the receive handler (if any). The segment
+  // calls it for NICs outside any zone; zone sinks call it for shared NICs.
+  void HandleArrival(const Datagram& datagram);
   // Called by the zone sink in place of HandleArrival so receive-side
   // accounting stays truthful on the batched path.
   void NoteZoneDelivery(size_t bytes) {
@@ -210,8 +220,6 @@ class SimNic : public Transport {
 
  private:
   friend class EthernetSegment;
-
-  void HandleArrival(const Datagram& datagram);
 
   EthernetSegment* segment_;
   NodeId node_;
@@ -224,6 +232,7 @@ class SimNic : public Transport {
   ReceiveHandler handler_;
   uint64_t packets_received_ = 0;
   uint64_t bytes_received_ = 0;
+  // Zone identity when routed through a zone sink (-1 = per-NIC delivery).
   int zone_shard_ = -1;
   int zone_member_ = -1;
 };

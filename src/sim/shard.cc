@@ -25,8 +25,7 @@ ShardGroup::ShardGroup(const Options& options)
   const size_t n = static_cast<size_t>(options.shards);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(static_cast<int>(i), options.engine));
+    shards_.push_back(std::make_unique<Shard>(static_cast<int>(i)));
   }
   links_.resize(n * n);  // Diagonal stays null; a shard never posts itself.
   for (size_t src = 0; src < n; ++src) {

@@ -50,7 +50,7 @@ namespace espk {
 // machinery lives in ShardGroup.
 class Shard {
  public:
-  Shard(int id, QueueEngine engine) : id_(id), sim_(engine) {}
+  explicit Shard(int id) : id_(id) {}
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
@@ -74,7 +74,6 @@ class ShardGroup {
     // fully inline (no threads) — same results either way.
     int threads = 1;
     bool pin_threads = false;
-    QueueEngine engine = QueueEngine::kTimerWheel;
     // Per-link SPSC ring capacity (messages); overflow spills to a vector.
     size_t inbox_capacity = 1024;
   };

@@ -12,8 +12,8 @@
 // counter, so same-instant entries stay FIFO. The paper's protocol depends
 // on that ("everybody receives a multicast packet at the same time", §3.2),
 // and the sharded runtime's bit-identity guarantee depends on the wheel
-// agreeing with the binary-heap oracle on every pop
-// (tests/shard_test.cc exercises the two against each other).
+// agreeing with a binary-heap reference on every pop
+// (tests/timer_wheel_test.cc sweeps the two against each other).
 //
 // Internals: ticks are time >> kTickBits (1.024 us). Level L slots are
 // 64^L ticks wide; an entry is filed at the level of the highest bit in

@@ -13,7 +13,7 @@ EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
                                  const SpeakerOptions& options)
     : sim_(sim), nic_(nic), options_(options) {
   nic_->SetReceiveHandler(
-      [this](const Datagram& datagram) { OnDatagram(datagram); });
+      [this](const Datagram& datagram) { HandleDatagram(datagram); });
 }
 
 EthernetSpeaker::~EthernetSpeaker() = default;
@@ -156,7 +156,7 @@ std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
   return mix;
 }
 
-void EthernetSpeaker::OnDatagram(const Datagram& datagram) {
+void EthernetSpeaker::HandleDatagram(const Datagram& datagram) {
   Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
   PendingDecode pending;
   IngestParsed(parsed, datagram.group, &pending);

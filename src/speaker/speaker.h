@@ -82,11 +82,12 @@ struct SpeakerOptions {
 };
 
 // A data packet that cleared admission (dedup, overflow, config checks) and
-// now owes the pipeline a decode at `decode_done`. The classic path wraps
-// one of these in its own scheduled event per packet; the sharded zone path
-// (src/speaker/speaker_zone.h) groups the whole zone's same-instant decodes
-// into ONE event — that batching is where the fleet runtime's per-speaker
-// cost collapses. `valid` is false when the packet was dropped at admission.
+// now owes the pipeline a decode at `decode_done`. In a system, the
+// speaker's zone (src/speaker/speaker_zone.h) groups the whole zone's
+// same-instant decodes into ONE event — that batching is where per-speaker
+// cost collapses. The per-datagram route (HandleDatagram: standalone
+// speakers, NIC sharers) wraps each one in its own scheduled event instead.
+// `valid` is false when the packet was dropped at admission.
 // `group`/`session_epoch` route the obligation back to the session that
 // issued it; a stale epoch (the group was unsubscribed mid-flight) makes
 // the obligation a no-op.
@@ -197,18 +198,19 @@ class EthernetSpeaker {
 
   Simulation* sim() { return sim_; }
 
-  // Feeds a datagram as if it arrived on the NIC. The speaker installs
-  // itself as the NIC's receive handler at construction; components that
-  // share the NIC (e.g. the management agent) take the handler over and
-  // forward non-management traffic here.
-  void HandleDatagram(const Datagram& datagram) { OnDatagram(datagram); }
+  // The per-datagram route: parses `datagram` and runs it through the
+  // three stages below, one scheduled event per decode and per early play.
+  // The speaker installs this as the NIC's receive handler at construction.
+  // In a system the speaker's zone takes the NIC over and feeds the stages
+  // directly; components that share the NIC (e.g. the management agent)
+  // install their own handler and forward non-management traffic here.
+  void HandleDatagram(const Datagram& datagram);
 
   // ------------------------------------------ batched pipeline surface --
-  // The sharded zone path parses a multicast packet ONCE per zone and feeds
-  // the shared result to every member through these three stages; the
-  // classic per-datagram path (OnDatagram) is built from exactly the same
-  // stages, so the two are behaviorally identical by construction — the
-  // property the 1-shard-vs-N-shard determinism test pins.
+  // A speaker zone parses a multicast packet ONCE per zone and feeds the
+  // shared result to every member through these three stages; the
+  // per-datagram route (HandleDatagram) is built from exactly the same
+  // stages, so the two are behaviorally identical by construction.
 
   // Stage 1, at arrival time: admission (stats, auth, session routing by
   // the datagram's `group`, control handling, dedup/overflow checks). Fills
@@ -226,8 +228,7 @@ class EthernetSpeaker {
  private:
   friend class StreamSession;
 
-  void OnDatagram(const Datagram& datagram);
-  // Classic-path continuations: wrap a pending obligation in its own
+  // Per-datagram continuations: wrap a pending obligation in its own
   // scheduled event (the zone path groups instead).
   void CommitDecode(PendingDecode pending);
   void CommitPlay(PendingPlay play);

@@ -11,11 +11,48 @@ int SpeakerZone::AddSpeaker(SimNic* nic, EthernetSpeaker* speaker) {
   return static_cast<int>(members_.size()) - 1;
 }
 
+template <typename Job>
+void SpeakerZone::ScheduleGroups(std::vector<Job> jobs) {
+  if (jobs.empty()) {
+    return;
+  }
+  // Jitter-free common case: every member saw the same arrival and carries
+  // the same decode backlog, so the whole batch shares one instant. Schedule
+  // it as a single group without sorting or re-slicing — the path the
+  // fleet's per-packet cost rests on.
+  const SimTime first = jobs[0].at();
+  if (std::all_of(jobs.begin() + 1, jobs.end(),
+                  [first](const Job& job) { return job.at() == first; })) {
+    sim_->ScheduleAt(first, [this, group = std::move(jobs)]() mutable {
+      RunGroup(std::move(group));
+    });
+    return;
+  }
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.at() < b.at();
+  });
+  size_t i = 0;
+  while (i < jobs.size()) {
+    size_t j = i + 1;
+    while (j < jobs.size() && jobs[j].at() == jobs[i].at()) {
+      ++j;
+    }
+    const SimTime at = jobs[i].at();
+    std::vector<Job> group(
+        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
+        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j)));
+    sim_->ScheduleAt(at, [this, group = std::move(group)]() mutable {
+      RunGroup(std::move(group));
+    });
+    i = j;
+  }
+}
+
 void SpeakerZone::DeliverBatch(const Datagram& datagram,
                                std::vector<ZoneDeliveryEntry> entries) {
   // Parse ONCE for the whole zone. ParsePacket is a pure function of the
   // payload bytes, so the shared result is byte-identical to what each
-  // member's classic per-speaker parse would have produced.
+  // member's own per-datagram parse would have produced.
   Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
   const SimTime now = sim_->now();
   std::vector<DecodeJob> jobs;
@@ -33,15 +70,21 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
                        std::vector<DecodeJob> late_jobs;
                        Ingest(members_[static_cast<size_t>(index)], datagram,
                               parsed, &late_jobs);
-                       ScheduleDecodeGroups(std::move(late_jobs));
+                       ScheduleGroups(std::move(late_jobs));
                      });
   }
-  ScheduleDecodeGroups(std::move(jobs));
+  ScheduleGroups(std::move(jobs));
 }
 
 void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
                          const Result<ParsedPacket>& parsed,
                          std::vector<DecodeJob>* jobs) {
+  if (member.nic->has_receive_handler()) {
+    // A NIC sharer's handler sees every datagram and forwards audio to
+    // EthernetSpeaker::HandleDatagram (the per-datagram route).
+    member.nic->HandleArrival(datagram);
+    return;
+  }
   member.nic->NoteZoneDelivery(datagram.payload.size());
   PendingDecode pending;
   member.speaker->IngestParsed(parsed, datagram.group, &pending);
@@ -50,51 +93,7 @@ void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
   }
 }
 
-void SpeakerZone::ScheduleDecodeGroups(std::vector<DecodeJob> jobs) {
-  if (jobs.empty()) {
-    return;
-  }
-  // Jitter-free common case: every member saw the same arrival and carries
-  // the same decode backlog, so the whole batch shares one decode instant.
-  // Schedule it as a single group without sorting or re-slicing — this is
-  // the path the fleet bench's throughput claim rests on.
-  bool uniform = true;
-  for (size_t k = 1; k < jobs.size(); ++k) {
-    if (jobs[k].pending.decode_done != jobs[0].pending.decode_done) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    const SimTime at = jobs[0].pending.decode_done;
-    sim_->ScheduleAt(at, [this, group = std::move(jobs)]() mutable {
-      RunDecodeGroup(std::move(group));
-    });
-    return;
-  }
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const DecodeJob& a, const DecodeJob& b) {
-                     return a.pending.decode_done < b.pending.decode_done;
-                   });
-  size_t i = 0;
-  while (i < jobs.size()) {
-    size_t j = i + 1;
-    while (j < jobs.size() &&
-           jobs[j].pending.decode_done == jobs[i].pending.decode_done) {
-      ++j;
-    }
-    const SimTime at = jobs[i].pending.decode_done;
-    std::vector<DecodeJob> group(
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j)));
-    sim_->ScheduleAt(at, [this, group = std::move(group)]() mutable {
-      RunDecodeGroup(std::move(group));
-    });
-    i = j;
-  }
-}
-
-void SpeakerZone::RunDecodeGroup(std::vector<DecodeJob> jobs) {
+void SpeakerZone::RunGroup(std::vector<DecodeJob> jobs) {
   std::vector<PlayJob> plays;
   plays.reserve(jobs.size());
   for (DecodeJob& job : jobs) {
@@ -104,51 +103,12 @@ void SpeakerZone::RunDecodeGroup(std::vector<DecodeJob> jobs) {
       plays.push_back(PlayJob{job.speaker, std::move(play)});
     }
   }
-  SchedulePlayGroups(std::move(plays));
+  ScheduleGroups(std::move(plays));
 }
 
-void SpeakerZone::SchedulePlayGroups(std::vector<PlayJob> jobs) {
-  if (jobs.empty()) {
-    return;
-  }
-  // Same single-instant fast path as ScheduleDecodeGroups: one shared play
-  // deadline per batch unless jitter or divergent backlogs split it.
-  bool uniform = true;
-  for (size_t k = 1; k < jobs.size(); ++k) {
-    if (jobs[k].play.at != jobs[0].play.at) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    const SimTime at = jobs[0].play.at;
-    sim_->ScheduleAt(at, [group = std::move(jobs)]() mutable {
-      for (PlayJob& job : group) {
-        job.speaker->RunPlay(std::move(job.play));
-      }
-    });
-    return;
-  }
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const PlayJob& a, const PlayJob& b) {
-                     return a.play.at < b.play.at;
-                   });
-  size_t i = 0;
-  while (i < jobs.size()) {
-    size_t j = i + 1;
-    while (j < jobs.size() && jobs[j].play.at == jobs[i].play.at) {
-      ++j;
-    }
-    const SimTime at = jobs[i].play.at;
-    std::vector<PlayJob> group(
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(i)),
-        std::make_move_iterator(jobs.begin() + static_cast<ptrdiff_t>(j)));
-    sim_->ScheduleAt(at, [group = std::move(group)]() mutable {
-      for (PlayJob& job : group) {
-        job.speaker->RunPlay(std::move(job.play));
-      }
-    });
-    i = j;
+void SpeakerZone::RunGroup(std::vector<PlayJob> jobs) {
+  for (PlayJob& job : jobs) {
+    job.speaker->RunPlay(std::move(job.play));
   }
 }
 

@@ -1,19 +1,31 @@
-// SpeakerZone: one shard's batch receiver for the fleet-scale runtime.
+// SpeakerZone: the batch receiver every EthernetSpeakerSystem speaker is
+// delivered through — one zone per shard, so a classic (zones = 1) system
+// has exactly one zone holding every speaker.
 //
-// The classic delivery path costs one scheduled event + one packet parse
-// per speaker per packet. A zone collapses that to per-PACKET cost: the
+// Delivering per NIC would cost one scheduled event + one packet parse per
+// speaker per packet. A zone collapses that to per-PACKET cost: the
 // segment hands the zone ONE message carrying the shared payload slice and
 // a member list (src/lan/segment.h ZoneSink); the zone parses once, runs
 // every member's admission stage inline, then schedules ONE event per
 // distinct decode-completion instant and ONE per distinct playout instant
 // for the whole zone. On a symmetric fleet (same codec config, idle
 // pipelines) those instants coincide across members, so a 1000-speaker
-// zone rides three events per packet instead of three thousand.
+// zone rides three events per packet instead of three thousand — the LAN
+// premise that "everybody receives a multicast packet at the same time"
+// (§3.2) applied to the simulator itself.
 //
 // Every member stage is the speaker's own batched pipeline surface
 // (IngestParsed / RunDecode / RunPlay — src/speaker/speaker.h), the same
-// stages the classic path wraps one-per-event, so zone playback is
-// behaviorally identical to classic playback by construction.
+// stages the per-datagram route (HandleDatagram) wraps one-per-event, so
+// both routes play identically by construction.
+//
+// NIC sharers: a component that shares a member's NIC (SpeakerAgent, a
+// CatalogBrowser chain) installs its own receive handler after the zone
+// took the NIC over. The zone then hands that member's datagrams to
+// SimNic::HandleArrival instead of the batched stages; the handler
+// forwards audio to EthernetSpeaker::HandleDatagram. The handler runs on
+// the zone's shard, so this works on home-shard zones only (zone 0, or
+// every speaker of a classic system); SimNic asserts it.
 //
 // A zone is NOT one stream: the segment filters each transmission by group
 // membership before batching, so a batch's entry list is exactly the
@@ -55,21 +67,27 @@ class SpeakerZone : public ZoneSink {
   struct DecodeJob {
     EthernetSpeaker* speaker = nullptr;
     PendingDecode pending;
+    SimTime at() const { return pending.decode_done; }
   };
   struct PlayJob {
     EthernetSpeaker* speaker = nullptr;
     PendingPlay play;
+    SimTime at() const { return play.at; }
   };
 
   // Admission for one member at its arrival instant; appends the decode
-  // obligation (if the packet was accepted) to `jobs`.
+  // obligation (if the packet was accepted) to `jobs`. A shared NIC gets
+  // the datagram through its handler instead.
   void Ingest(const Member& member, const Datagram& datagram,
               const Result<ParsedPacket>& parsed, std::vector<DecodeJob>* jobs);
-  // Groups jobs by decode_done / play-at instant and schedules one event
-  // per distinct instant — the zone path's whole reason to exist.
-  void ScheduleDecodeGroups(std::vector<DecodeJob> jobs);
-  void RunDecodeGroup(std::vector<DecodeJob> jobs);
-  void SchedulePlayGroups(std::vector<PlayJob> jobs);
+  // Groups jobs by at() and schedules one RunGroup event per distinct
+  // instant — the zone path's whole reason to exist.
+  template <typename Job>
+  void ScheduleGroups(std::vector<Job> jobs);
+  // Decodes a same-instant group and schedules the resulting plays.
+  void RunGroup(std::vector<DecodeJob> jobs);
+  // Plays a same-instant group.
+  void RunGroup(std::vector<PlayJob> jobs);
 
   Simulation* sim_;
   std::vector<Member> members_;

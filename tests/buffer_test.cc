@@ -199,7 +199,7 @@ TEST(BufferAliasTest, SliceOutlivesSegmentNicsAndSimulation) {
 
 // Serializes and multicasts one data packet, runs delivery, and has every
 // receiver parse it (the receive handler stores the Datagram; parsing
-// happens here to mimic the speaker's OnDatagram front half).
+// happens here to mimic the speaker's HandleDatagram front half).
 void SendOnePacket(FanOutRig* rig, Simulation* sim,
                    std::vector<Datagram>* received, uint32_t seq) {
   DataPacket packet;

@@ -157,5 +157,44 @@ TEST(SystemTest, ChannelsGetDistinctGroupsAndDevices) {
   EXPECT_NE(a->stream_id, b->stream_id);
 }
 
+// Every system speaker rides its zone's batch, a classic (zones = 1)
+// system included: a data packet to 100 speakers costs a few simulation
+// events per zone, where per-NIC delivery would cost an arrival, a decode
+// and a play event per speaker (>= 300).
+TEST(SystemTest, ClassicSystemDeliversThroughItsZoneBatch) {
+  EthernetSpeakerSystem system;
+  ASSERT_EQ(system.zones(), 1);
+  RebroadcasterOptions rb;
+  rb.codec_override = CodecId::kRaw;
+  rb.packet_frames = 32;  // 4 ms packets at 8 kHz.
+  Channel* channel = *system.CreateChannel("music", rb);
+  SpeakerOptions so;
+  so.decode_speed_factor = 0.02;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(system.AddSpeaker(so, channel->group).ok());
+  }
+  PlayerAppOptions opts;
+  opts.config = AudioConfig::PhoneQuality();
+  opts.chunk_frames = 1600;
+  ASSERT_TRUE(system
+                  .StartPlayer(channel,
+                               std::make_unique<MusicLikeGenerator>(3), opts)
+                  .ok());
+  system.RunUntil(Seconds(1));
+  const uint64_t events0 = system.sim()->events_processed();
+  const uint64_t packets0 = channel->rebroadcaster->stats().data_packets;
+  system.RunUntil(Seconds(3));
+  const uint64_t packets =
+      channel->rebroadcaster->stats().data_packets - packets0;
+  ASSERT_GT(packets, 100u);
+  const double events_per_packet =
+      static_cast<double>(system.sim()->events_processed() - events0) /
+      static_cast<double>(packets);
+  EXPECT_LT(events_per_packet, 100.0);
+  for (const auto& speaker : system.speakers()) {
+    EXPECT_GT(speaker->stats().chunks_played, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace espk

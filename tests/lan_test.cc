@@ -2,6 +2,7 @@
 
 #include "src/lan/segment.h"
 #include "src/lan/udp_transport.h"
+#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 
 namespace espk {
@@ -295,6 +296,74 @@ TEST(SegmentTest, GroupZeroIsReserved) {
   auto nic = segment.CreateNic();
   EXPECT_FALSE(nic->JoinGroup(0).ok());
   EXPECT_FALSE(nic->SendMulticast(0, {1}).ok());
+}
+
+// ------------------------------------------------------- zone routing --
+
+// Records the member tags of every batch it receives.
+class RecordingZoneSink : public ZoneSink {
+ public:
+  void DeliverBatch(const Datagram&,
+                    std::vector<ZoneDeliveryEntry> entries) override {
+    for (const ZoneDeliveryEntry& entry : entries) {
+      members.push_back(entry.member);
+    }
+  }
+  std::vector<int> members;
+};
+
+ShardGroup::Options ZoneShardOptions(int shards) {
+  ShardGroup::Options options;
+  options.shards = shards;
+  options.lookahead = SegmentConfig{}.base_delay;
+  return options;
+}
+
+// AssignZone takes the NIC over: the handler installed before it (the
+// speaker's own) is dropped and deliveries go to the zone sink. A handler
+// installed afterwards marks the NIC as shared, for the sink to honour.
+TEST(SegmentZoneTest, AssignZoneDropsTheEarlierReceiveHandler) {
+  ShardGroup shards(ZoneShardOptions(1));
+  EthernetSegment segment(shards.sim(0), SegmentConfig{});
+  segment.EnableSharding(&shards, /*home_shard=*/0);
+  RecordingZoneSink sink;
+  segment.RegisterZoneSink(0, &sink);
+  auto sender = segment.CreateNic();
+  auto member = segment.CreateNic();
+  int handled = 0;
+  member->SetReceiveHandler([&](const Datagram&) { ++handled; });
+  ASSERT_TRUE(member->JoinGroup(1).ok());
+  segment.AssignZone(member.get(), 0, /*member=*/7);
+  EXPECT_FALSE(member->has_receive_handler());
+
+  ASSERT_TRUE(sender->SendMulticast(1, {1, 2, 3}).ok());
+  shards.sim(0)->Run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(sink.members, std::vector<int>{7});
+
+  member->SetReceiveHandler([&](const Datagram&) { ++handled; });
+  EXPECT_TRUE(member->has_receive_handler());
+}
+
+// A receive handler on a NIC whose zone lives off the home shard would run
+// on that zone's shard and transmit into home-shard state mid-epoch.
+TEST(SegmentZoneDeathTest, HandlerOnOffHomeZoneNicAsserts) {
+  ShardGroup shards(ZoneShardOptions(2));
+  EthernetSegment segment(shards.sim(0), SegmentConfig{});
+  segment.EnableSharding(&shards, /*home_shard=*/0);
+  RecordingZoneSink home_sink;
+  RecordingZoneSink far_sink;
+  segment.RegisterZoneSink(0, &home_sink);
+  segment.RegisterZoneSink(1, &far_sink);
+  auto home = segment.CreateNic();
+  auto far = segment.CreateNic();
+  segment.AssignZone(home.get(), 0, 0);
+  segment.AssignZone(far.get(), 1, 0);
+  home->SetReceiveHandler([](const Datagram&) {});
+  EXPECT_TRUE(home->has_receive_handler());
+  EXPECT_DEBUG_DEATH(far->SetReceiveHandler([](const Datagram&) {}),
+                     "home shard only");
+  far->SetReceiveHandler(nullptr);  // Clearing is always allowed.
 }
 
 // ----------------------------------------------------------- UDP backend --

@@ -264,6 +264,45 @@ TEST_F(MgmtFixture, WalkTheWholeMib) {
 
 // ------------------------------------------------ Subscription directory --
 
+// On a sharded system the speaker's zone owns its NIC. An agent sharing
+// the NIC of a zone-0 speaker (zone 0 lives on the home shard) must still
+// answer the console, and the speaker must not count management frames as
+// damaged audio.
+TEST(MgmtShardedTest, AgentOnHomeZoneSpeakerAnswers) {
+  SystemOptions options;
+  options.sharded.zones = 2;
+  EthernetSpeakerSystem system(options);
+  Channel* channel = *system.CreateChannel("music");
+  PlayerAppOptions opts;
+  opts.config = AudioConfig::CdQuality();
+  ASSERT_TRUE(system
+                  .StartPlayer(channel,
+                               std::make_unique<MusicLikeGenerator>(1), opts)
+                  .ok());
+  SpeakerOptions so;
+  so.decode_speed_factor = 0.05;
+  so.name = "es-home";
+  EthernetSpeaker* speaker = *system.AddSpeaker(so, channel->group);
+  so.name = "es-far";
+  ASSERT_TRUE(system.AddSpeaker(so, channel->group).ok());
+  ASSERT_EQ(system.ZoneOf(0), 0);
+  ASSERT_EQ(system.ZoneOf(1), 1);
+  SpeakerAgent agent(system.sim(), system.NicOf(speaker), speaker);
+  auto console_nic = system.lan()->CreateNic();
+  MgmtConsole console(system.sim(), console_nic.get());
+
+  system.RunUntil(Seconds(1));
+  std::vector<MgmtResponse> responses;
+  console.Get(0, MibOidName(),
+              [&](const MgmtResponse& r) { responses.push_back(r); });
+  system.RunFor(Milliseconds(100));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_TRUE(responses[0].ok);
+  EXPECT_EQ(responses[0].value, "es-home");
+  EXPECT_EQ(speaker->stats().bad_packets, 0u);
+  EXPECT_GT(speaker->stats().chunks_played, 0u);
+}
+
 TEST(DirectoryTest, RegisterAllocatesGroupsAndRejectsDuplicates) {
   SubscriptionDirectory directory;
   Result<const StreamRecord*> music =

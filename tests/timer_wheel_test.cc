@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,46 +197,98 @@ TEST(TimerWheelTest, InterleavedScheduleAndPopAgainstOracle) {
   ExpectDrainsInOrder(&wheel, pending);
 }
 
-// Both queue engines must produce the identical execution: same callback
-// order, same clock, same Cancel semantics. This is the bit-identity
-// foundation everything above the simulation relies on.
+// The binary-heap + hash-map event queue the timer wheel replaced, kept
+// here as the reference Simulation is swept against. Same contract — times
+// clamp to now, same-instant events run in scheduling order, Cancel frees
+// the callback at once — with textbook mechanics.
+class HeapReferenceSimulation {
+ public:
+  using EventHandle = Simulation::EventHandle;
+
+  SimTime now() const { return now_; }
+
+  EventHandle ScheduleAt(SimTime at, std::function<void()> cb) {
+    const TimerEntry ev{std::max(at, now_), next_seq_++, next_id_++};
+    callbacks_.emplace(ev.id, std::move(cb));
+    queue_.push(ev);
+    return EventHandle{ev.id};
+  }
+
+  bool Cancel(EventHandle handle) { return callbacks_.erase(handle.id) > 0; }
+
+  void Run() {
+    while (!queue_.empty()) {
+      const TimerEntry ev = queue_.top();
+      queue_.pop();
+      auto it = callbacks_.find(ev.id);
+      if (it == callbacks_.end()) {
+        continue;  // Cancelled: only the stub was left behind.
+      }
+      std::function<void()> cb = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = ev.time;
+      cb();
+    }
+  }
+
+ private:
+  struct Later {
+    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
+      return OracleBefore(b, a);
+    }
+  };
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  std::priority_queue<TimerEntry, std::vector<TimerEntry>, Later> queue_;
+  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
+};
+
+// Random bursts of self-rescheduling events with random cancels (possibly
+// of events that already ran); returns (label, time) per executed event.
+template <typename Sim>
+std::vector<std::pair<uint64_t, SimTime>> RunScheduleCancelSweep(
+    uint64_t seed) {
+  Sim sim;
+  Prng prng(seed);
+  std::vector<std::pair<uint64_t, SimTime>> executed;
+  std::vector<Simulation::EventHandle> handles;
+  uint64_t label = 0;
+  std::function<void()> burst = [&] {
+    const size_t n = prng.NextBelow(5);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t my = ++label;
+      SimTime at =
+          sim.now() + static_cast<SimTime>(prng.NextBelow(Milliseconds(3)));
+      handles.push_back(sim.ScheduleAt(at, [&, my] {
+        executed.push_back({my, sim.now()});
+        if (executed.size() < 600) {
+          burst();
+        }
+      }));
+    }
+    if (!handles.empty() && prng.NextBelow(3) == 0) {
+      sim.Cancel(handles[prng.NextBelow(handles.size())]);
+    }
+  };
+  for (int i = 0; i < 5; ++i) {
+    burst();
+  }
+  sim.Run();
+  return executed;
+}
+
+// The simulation must execute exactly like the heap reference: same
+// callback order, same clock, same Cancel semantics. This is the
+// bit-identity foundation everything above the simulation relies on.
 TEST(SimulationEngineTest, WheelAndHeapExecuteIdentically) {
   Prng seeds(99);
   for (int round = 0; round < 10; ++round) {
     const uint64_t seed = seeds.NextBelow(1u << 30);
-    auto run = [seed](QueueEngine engine) {
-      Simulation sim(engine);
-      Prng prng(seed);
-      std::vector<std::pair<uint64_t, SimTime>> executed;
-      std::vector<Simulation::EventHandle> handles;
-      uint64_t label = 0;
-      std::function<void()> burst = [&] {
-        const size_t n = prng.NextBelow(5);
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t my = ++label;
-          SimTime at =
-              sim.now() + static_cast<SimTime>(prng.NextBelow(Milliseconds(3)));
-          handles.push_back(sim.ScheduleAt(at, [&, my] {
-            executed.push_back({my, sim.now()});
-            if (executed.size() < 600) {
-              burst();
-            }
-          }));
-        }
-        // Randomly cancel one known handle — possibly already run.
-        if (!handles.empty() && prng.NextBelow(3) == 0) {
-          sim.Cancel(handles[prng.NextBelow(handles.size())]);
-        }
-      };
-      for (int i = 0; i < 5; ++i) {
-        burst();
-      }
-      sim.Run();
-      return executed;
-    };
-    auto wheel_trace = run(QueueEngine::kTimerWheel);
-    auto heap_trace = run(QueueEngine::kBinaryHeap);
-    ASSERT_EQ(wheel_trace, heap_trace) << "engines diverged, seed " << seed;
+    ASSERT_EQ(RunScheduleCancelSweep<Simulation>(seed),
+              RunScheduleCancelSweep<HeapReferenceSimulation>(seed))
+        << "engines diverged, seed " << seed;
   }
 }
 
