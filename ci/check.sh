@@ -8,11 +8,13 @@
 #      timer wheel, and the width-N determinism test all run under
 #      ThreadSanitizer, plus the span and health suites whose sharded cases
 #      read zone state from barrier hooks (the merged-mirror observability
-#      path). The sharded runtime's bit-identity claim rests on the
-#      executor barrier giving happens-before between epochs; TSan is
-#      the check that actually exercises it (a startup race in the executor
-#      once made shards share a thread slice and fire events an epoch late —
-#      exactly the class of bug this stage exists to catch).
+#      path), and the speaker suite, whose width-2 zone test shares decoded
+#      PCM inside each zone under a non-atomic refcount (a handle touched
+#      from two shards races here). The sharded runtime's bit-identity
+#      claim rests on the executor barrier giving happens-before between
+#      epochs; TSan is the check that actually exercises it (a startup race
+#      in the executor once made shards share a thread slice and fire events
+#      an epoch late — exactly the class of bug this stage exists to catch).
 #   3. Release build and the bench smoke gate (espk_bench_smoke), which
 #      regenerates BENCH_codec.json / BENCH_fanout.json / BENCH_trace.json /
 #      BENCH_fleet.json and validates each against bench/baselines with
@@ -60,9 +62,9 @@ cmake -B build-tsan -S . \
   -DESPK_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target \
   spsc_queue_test timer_wheel_test shard_test sharded_determinism_test \
-  span_test health_test
+  span_test health_test speaker_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'spsc_queue_test|timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test'
+  -R 'spsc_queue_test|timer_wheel_test|shard_test|sharded_determinism_test|span_test|health_test|speaker_test'
 
 echo "==> [3/8] Release: configure, build, bench smoke gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

@@ -5,9 +5,12 @@
 #ifndef SRC_AUDIO_PCM_H_
 #define SRC_AUDIO_PCM_H_
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/audio/format.h"
+#include "src/base/local_ref.h"
 #include "src/base/status.h"
 
 namespace espk {
@@ -23,6 +26,27 @@ struct PcmBuffer {
                ? static_cast<int64_t>(samples.size()) / channels
                : 0;
   }
+};
+
+// Immutable interleaved float PCM under single-shard shared ownership
+// (src/base/local_ref.h): one decoded chunk that every speaker of a zone
+// plays, and each speaker's output recorder retains, without a copy.
+class SharedPcm {
+ public:
+  SharedPcm() = default;  // Empty: size() == 0, data() == nullptr.
+  explicit SharedPcm(std::vector<float> samples)
+      : rep_(LocalRef<const std::vector<float>>::Make(std::move(samples))) {}
+
+  size_t size() const { return rep_ ? rep_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  // Identifies the storage: equal for every handle to one decode.
+  const float* data() const { return rep_ ? rep_->data() : nullptr; }
+  const float* begin() const { return data(); }
+  const float* end() const { return data() + size(); }
+  int use_count() const { return rep_.use_count(); }
+
+ private:
+  LocalRef<const std::vector<float>> rep_;
 };
 
 // Multiplies every sample by `gain` (no clipping; callers clamp on encode).

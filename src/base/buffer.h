@@ -68,6 +68,22 @@ class BufferOwnerScope {
 
   static uint32_t current() { return Current(); }
 
+  // The debug owner check of a single-shard refcount (Buffer, LocalRef)
+  // whose first claimant is recorded at `*owner` (0 = unclaimed): claims it
+  // for the current shard if unclaimed, and returns false when another
+  // shard holds the claim. Always true outside every shard scope, where
+  // everything is barrier-serialized.
+  static bool Claim(uint32_t* owner) {
+    const uint32_t token = Current();
+    if (token == 0) {
+      return true;
+    }
+    if (*owner == 0) {
+      *owner = token;
+    }
+    return *owner == token;
+  }
+
  private:
   static uint32_t& Current();
   uint32_t saved_;
@@ -171,15 +187,8 @@ class Buffer {
   // this rep, then insist every later share comes from the same shard.
   static void CheckOwner(Rep* rep) {
 #ifndef NDEBUG
-    const uint32_t token = BufferOwnerScope::current();
-    if (token == 0) {
-      return;  // Outside shard scopes everything is barrier-serialized.
-    }
-    if (rep->owner == 0) {
-      rep->owner = token;
-      return;
-    }
-    assert(rep->owner == token &&
+    const bool same_shard = BufferOwnerScope::Claim(&rep->owner);
+    assert(same_shard &&
            "non-atomic Buffer shared across shards — MarkCrossShard() the "
            "payload before posting it");
 #else

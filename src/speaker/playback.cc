@@ -5,17 +5,11 @@
 
 namespace espk {
 
-void OutputRecorder::Play(SimTime start, std::vector<float> samples,
-                          float gain) {
+void OutputRecorder::Play(SimTime start, SharedPcm samples, float gain) {
   if (samples.empty()) {
     return;
   }
-  if (gain != 1.0f) {
-    for (float& s : samples) {
-      s *= gain;
-    }
-  }
-  segments_.push_back(Segment{start, std::move(samples)});
+  segments_.push_back(Segment{start, std::move(samples), gain});
 }
 
 std::vector<float> OutputRecorder::Render(SimTime from,
@@ -27,14 +21,19 @@ std::vector<float> OutputRecorder::Render(SimTime from,
         DurationToFrames(seg.start - from, sample_rate_);
     const auto seg_frames =
         static_cast<int64_t>(seg.samples.size()) / channels_;
-    for (int64_t f = 0; f < seg_frames; ++f) {
-      int64_t out_frame = seg_start_frame + f;
-      if (out_frame < 0 || out_frame >= frames) {
-        continue;
-      }
-      for (int c = 0; c < channels_; ++c) {
-        out[static_cast<size_t>(out_frame * channels_ + c)] =
-            seg.samples[static_cast<size_t>(f * channels_ + c)];
+    const int64_t first = std::max<int64_t>(0, -seg_start_frame);
+    const int64_t last = std::min(seg_frames, frames - seg_start_frame);
+    if (first >= last) {
+      continue;
+    }
+    const float* src = seg.samples.data() + first * channels_;
+    float* dst = out.data() + (seg_start_frame + first) * channels_;
+    const auto count = static_cast<size_t>((last - first) * channels_);
+    if (seg.gain == 1.0f) {
+      std::copy(src, src + count, dst);
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        dst[i] = src[i] * seg.gain;
       }
     }
   }
@@ -86,6 +85,9 @@ double OutputRecorder::RecentRms(SimTime now, SimDuration window) const {
       continue;
     }
     for (float s : it->samples) {
+      if (it->gain != 1.0f) {
+        s *= it->gain;
+      }
       acc += static_cast<double>(s) * s;
       ++count;
     }

@@ -7,9 +7,11 @@
 #define SRC_SPEAKER_PLAYBACK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/audio/format.h"
+#include "src/audio/pcm.h"
 #include "src/base/time_types.h"
 
 namespace espk {
@@ -20,18 +22,32 @@ class OutputRecorder {
       : sample_rate_(sample_rate), channels_(channels) {}
 
   // Plays `samples` (interleaved) starting at `start`, scaled by `gain`.
-  // Segments are expected in nondecreasing start order (chunks are played
-  // by deadline); overlapping audio is overwritten by the newer segment at
-  // Render time.
-  void Play(SimTime start, std::vector<float> samples, float gain);
+  // The recorder retains the shared chunk as is and applies `gain` when it
+  // reads the samples back (Render, RecentRms), so a zone's speakers all
+  // hold one copy of each decoded chunk whatever their volume. Segments are
+  // expected in nondecreasing start order (chunks are played by deadline);
+  // overlapping audio is overwritten by the newer segment at Render time.
+  void Play(SimTime start, SharedPcm samples, float gain);
+  // Adopts a private chunk (baseline player, tests).
+  void Play(SimTime start, std::vector<float> samples, float gain) {
+    Play(start, SharedPcm(std::move(samples)), gain);
+  }
 
   // Renders the continuous waveform in [from, from+duration): silence where
   // nothing was playing.
   std::vector<float> Render(SimTime from, SimDuration duration) const;
 
+  // One played chunk. `samples` is the decoded PCM exactly as the decoder
+  // produced it, shared with every other speaker of the zone that decoded
+  // the same packet; `gain` is this speaker's volume when the chunk played.
+  // A sample leaves the speaker as `samples[i] * gain`: one float multiply,
+  // skipped at gain 1, so the output is bit-identical to storing the
+  // product, and a gain change (§5.2 auto-volume) reaches only the
+  // segments played after it.
   struct Segment {
     SimTime start;
-    std::vector<float> samples;  // Interleaved, gain applied.
+    SharedPcm samples;  // Interleaved, as decoded; size() counts floats.
+    float gain = 1.0f;
     SimDuration duration(int sample_rate, int channels) const {
       return FramesToDuration(
           static_cast<int64_t>(samples.size()) / channels, sample_rate);

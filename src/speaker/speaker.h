@@ -37,7 +37,9 @@
 #include <vector>
 
 #include "src/audio/format.h"
+#include "src/audio/pcm.h"
 #include "src/base/buffer.h"
+#include "src/base/local_ref.h"
 #include "src/codec/codec.h"
 #include "src/lan/transport.h"
 #include "src/proto/wire.h"
@@ -81,6 +83,33 @@ struct SpeakerOptions {
   HistogramMetric* lateness_histogram = nullptr;
 };
 
+// The session decoder's identity: two decoders created with equal keys turn
+// equal payload bytes into bit-identical PCM. Decoding is a pure function
+// of (key, payload) — packets are self-contained (src/codec/codec.h) and a
+// decoder's scratch arenas carry nothing from one packet to the next;
+// tests/codec_test.cc pins both — so it does not matter whose decoder ran.
+struct DecoderKey {
+  CodecId codec = CodecId::kRaw;
+  AudioConfig config;
+  uint8_t quality = 0;
+  bool operator==(const DecoderKey& other) const = default;
+};
+
+// One zone batch's decode, filled by the first member to decode the packet
+// (src/speaker/speaker_zone.h). Decode returns that member's result — the
+// PCM or the decode error — to every member whose key equals the filler's,
+// and decodes afresh, leaving the cell alone, for a member whose key
+// differs (its session is mid-reconfiguration, or on another codec).
+class DecodeCell {
+ public:
+  Result<SharedPcm> Decode(const DecoderKey& key, AudioDecoder* decoder,
+                           const BufferSlice& payload);
+
+ private:
+  DecoderKey key_;
+  std::optional<Result<SharedPcm>> result_;
+};
+
 // A data packet that cleared admission (dedup, overflow, config checks) and
 // now owes the pipeline a decode at `decode_done`. In a system, the
 // speaker's zone (src/speaker/speaker_zone.h) groups the whole zone's
@@ -101,11 +130,16 @@ struct PendingDecode {
   SimTime local_deadline = 0;
   BufferSlice payload;  // Zero-copy slice of the arrival buffer.
   size_t decoded_bytes = 0;
+  // The zone batch's shared decode; null on the per-datagram route, which
+  // decodes privately.
+  LocalRef<DecodeCell> cell;
 };
 
 // A decoded chunk that arrived early and owes the pipeline a playout at
 // `at` (its local deadline). Same batching and routing story as
-// PendingDecode.
+// PendingDecode. `samples` is the shared decode as is — every member of a
+// zone that decoded this packet holds the same chunk — and the speaker's
+// gain is applied when the output recorder reads it back.
 struct PendingPlay {
   bool valid = false;
   SimTime at = 0;
@@ -113,7 +147,7 @@ struct PendingPlay {
   uint64_t session_epoch = 0;
   uint32_t stream_id = 0;
   uint32_t seq = 0;
-  std::vector<float> samples;
+  SharedPcm samples;
   size_t decoded_bytes = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <utility>
+#include <variant>
 
 namespace espk {
 
@@ -54,22 +55,29 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
   // payload bytes, so the shared result is byte-identical to what each
   // member's own per-datagram parse would have produced.
   Result<ParsedPacket> parsed = ParsePacket(datagram.payload);
+  // Decode ONCE for the whole zone too: a data packet's members share one
+  // lazily filled cell, whichever instant each of them decodes at.
+  LocalRef<DecodeCell> cell;
+  if (parsed.ok() && std::holds_alternative<DataPacket>(parsed->packet)) {
+    cell = LocalRef<DecodeCell>::Make();
+  }
   const SimTime now = sim_->now();
   std::vector<DecodeJob> jobs;
   jobs.reserve(entries.size());
   for (const ZoneDeliveryEntry& entry : entries) {
     const Member& member = members_[static_cast<size_t>(entry.member)];
     if (entry.arrival <= now) {
-      Ingest(member, datagram, parsed, &jobs);
+      Ingest(member, datagram, parsed, cell, &jobs);
       continue;
     }
     // Jitter pushed this member's arrival past the batch instant: fall back
-    // to one event for it, still reusing the shared parse and payload.
+    // to one event for it, still reusing the shared parse, payload and
+    // decode cell.
     sim_->ScheduleAt(entry.arrival,
-                     [this, index = entry.member, datagram, parsed] {
+                     [this, index = entry.member, datagram, parsed, cell] {
                        std::vector<DecodeJob> late_jobs;
                        Ingest(members_[static_cast<size_t>(index)], datagram,
-                              parsed, &late_jobs);
+                              parsed, cell, &late_jobs);
                        ScheduleGroups(std::move(late_jobs));
                      });
   }
@@ -78,6 +86,7 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
 
 void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
                          const Result<ParsedPacket>& parsed,
+                         const LocalRef<DecodeCell>& cell,
                          std::vector<DecodeJob>* jobs) {
   if (member.nic->has_receive_handler()) {
     // A NIC sharer's handler sees every datagram and forwards audio to
@@ -89,6 +98,7 @@ void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
   PendingDecode pending;
   member.speaker->IngestParsed(parsed, datagram.group, &pending);
   if (pending.valid) {
+    pending.cell = cell;
     jobs->push_back(DecodeJob{member.speaker, std::move(pending)});
   }
 }

@@ -14,6 +14,14 @@
 // premise that "everybody receives a multicast packet at the same time"
 // (§3.2) applied to the simulator itself.
 //
+// The zone also DECODES once per packet: DeliverBatch gives every member's
+// decode obligation the same lazily filled DecodeCell (src/speaker/
+// speaker.h), so the first member to decode fills it and every member whose
+// session decoder matches plays that same immutable SharedPcm chunk —
+// jittered late members included. Each member still pays its own simulated
+// decode time (§3.4); only the host's work and memory are shared. The cell
+// and its chunk never leave this zone's shard.
+//
 // Every member stage is the speaker's own batched pipeline surface
 // (IngestParsed / RunDecode / RunPlay — src/speaker/speaker.h), the same
 // stages the per-datagram route (HandleDatagram) wraps one-per-event, so
@@ -76,10 +84,12 @@ class SpeakerZone : public ZoneSink {
   };
 
   // Admission for one member at its arrival instant; appends the decode
-  // obligation (if the packet was accepted) to `jobs`. A shared NIC gets
-  // the datagram through its handler instead.
+  // obligation (if the packet was accepted), carrying the batch's decode
+  // cell, to `jobs`. A shared NIC gets the datagram through its handler
+  // instead.
   void Ingest(const Member& member, const Datagram& datagram,
-              const Result<ParsedPacket>& parsed, std::vector<DecodeJob>* jobs);
+              const Result<ParsedPacket>& parsed,
+              const LocalRef<DecodeCell>& cell, std::vector<DecodeJob>* jobs);
   // Groups jobs by at() and schedules one RunGroup event per distinct
   // instant — the zone path's whole reason to exist.
   template <typename Job>

@@ -9,6 +9,30 @@
 #include "src/speaker/speaker.h"
 
 namespace espk {
+namespace {
+
+Result<SharedPcm> DecodeToPcm(AudioDecoder* decoder,
+                              const BufferSlice& payload) {
+  Result<std::vector<float>> samples = decoder->DecodePacket(payload);
+  if (!samples.ok()) {
+    return samples.status();
+  }
+  return SharedPcm(std::move(*samples));
+}
+
+}  // namespace
+
+Result<SharedPcm> DecodeCell::Decode(const DecoderKey& key,
+                                     AudioDecoder* decoder,
+                                     const BufferSlice& payload) {
+  if (!result_.has_value()) {
+    key_ = key;
+    result_ = DecodeToPcm(decoder, payload);
+  } else if (!(key == key_)) {
+    return DecodeToPcm(decoder, payload);
+  }
+  return *result_;
+}
 
 StreamSession::StreamSession(EthernetSpeaker* speaker, GroupId group,
                              uint64_t epoch)
@@ -152,7 +176,10 @@ void StreamSession::RunDecode(const PendingDecode& pending,
     queued_pcm_bytes_ -= pending.decoded_bytes;
     return;  // Cannot happen after admission; kept as a defensive mirror.
   }
-  Result<std::vector<float>> samples = decoder_->DecodePacket(pending.payload);
+  const DecoderKey key{codec_, *config_, quality_};
+  Result<SharedPcm> samples =
+      pending.cell ? pending.cell->Decode(key, decoder_.get(), pending.payload)
+                   : DecodeToPcm(decoder_.get(), pending.payload);
   if (!samples.ok()) {
     ++speaker_->stats_.decode_errors;
     queued_pcm_bytes_ -= pending.decoded_bytes;
@@ -164,7 +191,7 @@ void StreamSession::RunDecode(const PendingDecode& pending,
 
 void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
                                      SimTime local_deadline,
-                                     std::vector<float> samples,
+                                     SharedPcm samples,
                                      size_t decoded_bytes,
                                      PendingPlay* out_play) {
   speaker_->Trace(stream_id, seq, TraceStage::kDecodeDone);

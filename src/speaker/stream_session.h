@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/audio/format.h"
+#include "src/audio/pcm.h"
 #include "src/codec/codec.h"
 #include "src/lan/transport.h"
 #include "src/proto/wire.h"
@@ -74,7 +75,7 @@ class StreamSession {
 
  private:
   void OnDecodeComplete(uint32_t stream_id, uint32_t seq,
-                        SimTime local_deadline, std::vector<float> samples,
+                        SimTime local_deadline, SharedPcm samples,
                         size_t decoded_bytes, PendingPlay* out_play);
   // Accounts playout-timeline gaps: a chunk of `sample_count` samples
   // started rendering at `at`.

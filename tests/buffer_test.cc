@@ -12,6 +12,7 @@
 
 #include "bench/alloc_hook.h"
 #include "src/base/bytes.h"
+#include "src/base/local_ref.h"
 #include "src/codec/raw_codec.h"
 #include "src/lan/segment.h"
 #include "src/proto/wire.h"
@@ -177,6 +178,34 @@ TEST(BufferAliasTest, ReceiverMutatingDecodedOutputDoesNotPerturbOthers) {
   Result<std::vector<float>> again = decoder.DecodePacket(data_b.payload);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*samples_b, *again);
+}
+
+// LocalRef (decoded PCM shared inside a speaker zone) follows Buffer's
+// single-shard rule: a plain refcount, the value freed with its last
+// handle, and in debug builds a share from a second shard asserts.
+TEST(LocalRefTest, HandlesShareOneValueUntilTheLastGoes) {
+  auto a = LocalRef<const std::vector<int>>::Make(std::vector<int>{1, 2});
+  EXPECT_EQ(a.use_count(), 1);
+  {
+    LocalRef<const std::vector<int>> b = a;
+    EXPECT_EQ(a.use_count(), 2);
+    EXPECT_EQ(b->data(), a->data());
+  }
+  EXPECT_EQ(a.use_count(), 1);
+  LocalRef<const std::vector<int>> moved = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is null.
+  EXPECT_EQ(moved.use_count(), 1);
+}
+
+TEST(LocalRefDeathTest, ShareFromASecondShardAsserts) {
+  auto ref = LocalRef<int>::Make(7);
+  {
+    BufferOwnerScope first_shard(1);
+    LocalRef<int> copy = ref;  // Shard 1 claims the value.
+  }
+  BufferOwnerScope second_shard(2);
+  EXPECT_DEBUG_DEATH({ LocalRef<int> copy = ref; },
+                     "LocalRef shared across shards");
 }
 
 TEST(BufferAliasTest, SliceOutlivesSegmentNicsAndSimulation) {

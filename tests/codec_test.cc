@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <string>
 
 #include "src/audio/analysis.h"
 #include "src/audio/generator.h"
@@ -403,6 +405,118 @@ TEST(VorbixTest, MidSideFlagOnMonoRejected) {
   wire[4] |= kVorbixFlagMidSide;  // Flags byte (magic u16, version, quality, flags).
   VorbixDecoder dec(mono, 10);
   EXPECT_FALSE(dec.DecodePacket(wire).ok());
+}
+
+// ------------------------------------------------------- decode purity --
+//
+// A speaker zone decodes each packet once and hands the PCM to every member
+// whose session decoder has the same (codec, config, quality)
+// (src/speaker/speaker.h, DecodeCell). That is correct only if decoding is a
+// pure function of those and the payload bytes: a decoder that has already
+// decoded other packets — or just failed on, or decoded garbage from, a
+// damaged one — must produce exactly what a fresh decoder does. VorbixDecoder
+// keeps scratch arenas (recon_, coeffs_, mid_saved_, ...) across packets, so
+// this is a real property, not a tautology.
+
+bool BitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// For every packet: a fresh decoder's output, then the same packet through
+// one long-lived decoder right after (a) every other packet, (b) a
+// truncated copy of it, (c) bit-flipped copies of it, must all agree to the
+// bit.
+void ExpectDecodeIsPure(CodecId codec, const AudioConfig& config, int quality,
+                        const std::vector<Bytes>& packets) {
+  auto used = CreateDecoder(codec, config, quality);
+  ASSERT_TRUE(used.ok());
+  Prng prng(61);
+  for (size_t i = 0; i < packets.size(); ++i) {
+    const Bytes& packet = packets[i];
+    auto fresh_decoder = CreateDecoder(codec, config, quality);
+    ASSERT_TRUE(fresh_decoder.ok());
+    Result<std::vector<float>> fresh = (*fresh_decoder)->DecodePacket(packet);
+    ASSERT_TRUE(fresh.ok()) << "packet " << i;
+
+    for (size_t j = 0; j < packets.size(); ++j) {
+      if (j != i) {
+        ASSERT_TRUE((*used)->DecodePacket(packets[j]).ok());
+      }
+    }
+    Result<std::vector<float>> after_others = (*used)->DecodePacket(packet);
+    ASSERT_TRUE(after_others.ok());
+    EXPECT_TRUE(BitIdentical(*fresh, *after_others)) << "packet " << i;
+
+    const Bytes truncated(packet.begin(),
+                          packet.begin() + static_cast<long>(packet.size() -
+                                                             packet.size() / 3 -
+                                                             1));
+    (void)(*used)->DecodePacket(truncated);  // Fails, or decodes short.
+    Result<std::vector<float>> after_truncated = (*used)->DecodePacket(packet);
+    ASSERT_TRUE(after_truncated.ok());
+    EXPECT_TRUE(BitIdentical(*fresh, *after_truncated)) << "packet " << i;
+
+    for (int trial = 0; trial < 8; ++trial) {
+      Bytes corrupt = packet;
+      corrupt[prng.NextBelow(corrupt.size())] ^=
+          static_cast<uint8_t>(1u << prng.NextBelow(8));
+      (void)(*used)->DecodePacket(corrupt);  // Fails or decodes wrong.
+      Result<std::vector<float>> after_corrupt =
+          (*used)->DecodePacket(packet);
+      ASSERT_TRUE(after_corrupt.ok());
+      EXPECT_TRUE(BitIdentical(*fresh, *after_corrupt))
+          << "packet " << i << " trial " << trial;
+    }
+  }
+}
+
+// Packet sizes shrink and grow so a stale scratch tail would show.
+constexpr int64_t kPurityFrames[] = {4096, 700, 2048, 1, 1500};
+
+TEST(DecodePurityTest, RawIsPureForEveryEncoding) {
+  for (AudioEncoding encoding :
+       {AudioEncoding::kMulaw, AudioEncoding::kAlaw, AudioEncoding::kLinearU8,
+        AudioEncoding::kLinearS16, AudioEncoding::kLinearS24}) {
+    for (int channels : {1, 2}) {
+      SCOPED_TRACE(std::string(AudioEncodingName(encoding)) + " x" +
+                   std::to_string(channels));
+      const AudioConfig config{22050, channels, encoding};
+      auto enc = CreateEncoder(CodecId::kRaw, config, 0);
+      ASSERT_TRUE(enc.ok());
+      MusicLikeGenerator gen(17);
+      std::vector<Bytes> packets;
+      for (int64_t frames : kPurityFrames) {
+        packets.push_back(*(*enc)->EncodePacket(
+            MakeContent(&gen, config, std::max<int64_t>(frames, 2))));
+      }
+      ExpectDecodeIsPure(CodecId::kRaw, config, 0, packets);
+    }
+  }
+}
+
+TEST(DecodePurityTest, VorbixIsPureForMonoAndStereo) {
+  const AudioConfig mono{44100, 1, AudioEncoding::kLinearS16};
+  const AudioConfig stereo = AudioConfig::CdQuality();
+  struct Case {
+    const char* name;
+    AudioConfig config;
+    bool mid_side;
+  };
+  for (const Case& c : {Case{"mono", mono, false},
+                        Case{"stereo mid/side", stereo, true},
+                        Case{"stereo left/right", stereo, false}}) {
+    SCOPED_TRACE(c.name);
+    VorbixEncoder enc(c.config, 8);
+    enc.set_mid_side(c.mid_side);
+    MusicLikeGenerator gen(19);
+    std::vector<Bytes> packets;
+    for (int64_t frames : kPurityFrames) {
+      packets.push_back(*enc.EncodePacket(MakeContent(&gen, c.config, frames)));
+    }
+    ExpectDecodeIsPure(CodecId::kVorbix, c.config, 8, packets);
+  }
 }
 
 TEST(CodecFactoryTest, QuantStepIndexRoundTrip) {

@@ -1,12 +1,23 @@
 // Unit tests for the Ethernet Speaker internals: the output recorder, the
 // speaker state machine driven by hand-crafted datagrams (no producer
-// needed), and the §5.2 auto-volume controller.
+// needed), decode sharing inside a speaker zone, and the §5.2 auto-volume
+// controller.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/audio/analysis.h"
 #include "src/audio/generator.h"
 #include "src/audio/sample_convert.h"
+#include "src/core/system.h"
 #include "src/lan/segment.h"
+#include "src/obs/trace.h"
 #include "src/speaker/auto_volume.h"
 #include "src/speaker/playback.h"
 #include "src/speaker/speaker.h"
@@ -71,6 +82,61 @@ TEST(OutputRecorderTest, EmptyStateAccessors) {
   EXPECT_EQ(rec.last_end(), -1);
   EXPECT_EQ(rec.CountGaps(0), 0);
   EXPECT_EQ(rec.RecentRms(Seconds(1), Seconds(1)), 0.0);
+}
+
+bool BitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The recorder keeps each chunk as decoded and applies the speaker's gain
+// when reading it back. That must equal, to the bit, a recorder that
+// stored `s * gain` in place (what it did before chunks were shared).
+TEST(OutputRecorderTest, GainAtRenderMatchesPremultipliedSamples) {
+  MusicLikeGenerator gen(5);
+  std::vector<float> chunk;
+  gen.Generate(800, 2, 8000, &chunk);
+  for (float gain : {0.5f, 0.3f, 1.7f, 0.0f}) {
+    OutputRecorder shared(8000, 2);
+    OutputRecorder premultiplied(8000, 2);
+    std::vector<float> scaled = chunk;
+    for (float& s : scaled) {
+      s *= gain;
+    }
+    for (SimTime start : {Milliseconds(0), Milliseconds(100),
+                          Milliseconds(180)}) {  // The last one overlaps.
+      shared.Play(start, chunk, gain);
+      premultiplied.Play(start, scaled, 1.0f);
+    }
+    EXPECT_TRUE(BitIdentical(shared.Render(Milliseconds(-7), Milliseconds(400)),
+                             premultiplied.Render(Milliseconds(-7),
+                                                  Milliseconds(400))))
+        << gain;
+    EXPECT_EQ(shared.RecentRms(Milliseconds(250), Milliseconds(120)),
+              premultiplied.RecentRms(Milliseconds(250), Milliseconds(120)))
+        << gain;
+  }
+}
+
+// §5.2 auto-volume changes the gain between chunks: the change reaches the
+// chunks played after it, never one already played — even when both
+// segments hold the very same shared chunk.
+TEST(OutputRecorderTest, GainChangeAffectsOnlyLaterSegments) {
+  OutputRecorder rec(8000, 1);
+  const SharedPcm chunk(std::vector<float>(8, 0.8f));
+  rec.Play(0, chunk, 1.0f);
+  rec.Play(Microseconds(1000), chunk, 0.5f);
+  ASSERT_EQ(rec.segments().size(), 2u);
+  EXPECT_EQ(rec.segments()[0].samples.data(), rec.segments()[1].samples.data());
+  std::vector<float> out = rec.Render(0, Milliseconds(2));
+  ASSERT_EQ(out.size(), 16u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i], 0.8f) << i;
+    EXPECT_EQ(out[8 + i], 0.8f * 0.5f) << i;
+  }
+  EXPECT_EQ(rec.RecentRms(Milliseconds(2), Milliseconds(1)),
+            static_cast<double>(0.8f * 0.5f));
 }
 
 // ------------------------------------------- Speaker fed crafted packets --
@@ -374,6 +440,142 @@ TEST(SpeakerTest, TrafficOnUnsubscribedGroupIsIgnored) {
   h.DeliverTo(stray, h.MakeData(0, Milliseconds(100), 800, /*stream_id=*/9));
   h.sim_.Run();
   EXPECT_EQ(h.speaker_.stats().chunks_played, 0u);
+}
+
+// --------------------------------------------------- zone decode sharing --
+//
+// A zone decodes each data packet once and every member whose decoder
+// matches plays the same immutable chunk (SpeakerZone, DecodeCell): each
+// member's k-th recorder segment points at the same storage.
+
+std::unique_ptr<EthernetSpeakerSystem> RunZoneFleet(
+    const SystemOptions& options, const std::vector<float>& gains) {
+  auto system = std::make_unique<EthernetSpeakerSystem>(options);
+  Channel* channel = *system->CreateChannel("music");
+  for (size_t i = 0; i < gains.size(); ++i) {
+    SpeakerOptions speaker_options;
+    speaker_options.name = "es" + std::to_string(i);
+    speaker_options.decode_speed_factor = 0.05;
+    speaker_options.gain = gains[i];
+    EXPECT_TRUE(system->AddSpeaker(speaker_options, channel->group).ok());
+  }
+  PlayerAppOptions player_options;
+  player_options.config = AudioConfig::CdQuality();
+  EXPECT_TRUE(system
+                  ->StartPlayer(channel,
+                                std::make_unique<MusicLikeGenerator>(11),
+                                player_options)
+                  .ok());
+  system->RunUntil(Seconds(3));
+  return system;
+}
+
+// The sample storage of every chunk a speaker played, in play order.
+std::vector<const float*> ChunkStorage(EthernetSpeaker* speaker) {
+  std::vector<const float*> storage;
+  if (speaker->output() != nullptr) {
+    for (const OutputRecorder::Segment& segment :
+         speaker->output()->segments()) {
+      storage.push_back(segment.samples.data());
+    }
+  }
+  return storage;
+}
+
+TEST(ZoneDecodeSharingTest, MembersOfOneZoneShareEveryChunk) {
+  auto system = RunZoneFleet(SystemOptions{}, {1.0f, 1.0f, 1.0f, 1.0f});
+  const auto& speakers = system->speakers();
+  const std::vector<const float*> first = ChunkStorage(speakers[0].get());
+  ASSERT_GT(first.size(), 20u);
+  for (const auto& speaker : speakers) {
+    EXPECT_EQ(ChunkStorage(speaker.get()), first) << speaker->name();
+  }
+  // Nothing but the four recorders holds a played chunk.
+  EXPECT_EQ(speakers[0]->output()->segments()[0].samples.use_count(), 4);
+}
+
+TEST(ZoneDecodeSharingTest, JitteredMembersStillShare) {
+  SystemOptions options;
+  options.lan.jitter = Milliseconds(2);
+  auto system = RunZoneFleet(options, {1.0f, 1.0f, 1.0f, 1.0f});
+  // Jitter spread the members' arrivals: some data packet reached two
+  // speakers at different instants, so late members took the deferred
+  // ingest route and decoded at their own instants.
+  std::map<uint32_t, std::set<SimTime>> arrivals;
+  std::set<uint32_t> played_seqs;
+  ASSERT_EQ(system->tracer()->dropped(), 0u);
+  for (const TraceEvent& e : system->tracer()->events()) {
+    if (e.stage == TraceStage::kSpeakerReceive) {
+      arrivals[e.seq].insert(e.at);
+    } else if (e.stage == TraceStage::kPlay) {
+      played_seqs.insert(e.seq);
+    }
+  }
+  EXPECT_TRUE(std::any_of(arrivals.begin(), arrivals.end(),
+                          [](const auto& a) { return a.second.size() > 1; }));
+  // Jittered control packets also make members start at different packets,
+  // so compare per packet, not per position: the zone holds exactly one
+  // chunk per packet anyone played.
+  std::set<const float*> chunks;
+  for (const auto& speaker : system->speakers()) {
+    const std::vector<const float*> storage = ChunkStorage(speaker.get());
+    EXPECT_GT(storage.size(), 20u) << speaker->name();
+    chunks.insert(storage.begin(), storage.end());
+  }
+  EXPECT_EQ(chunks.size(), played_seqs.size());
+}
+
+TEST(ZoneDecodeSharingTest, HalfGainMemberRendersExactlyHalf) {
+  auto system = RunZoneFleet(SystemOptions{}, {1.0f, 0.5f});
+  EthernetSpeaker* full = system->speakers()[0].get();
+  EthernetSpeaker* half = system->speakers()[1].get();
+  EXPECT_EQ(ChunkStorage(half), ChunkStorage(full));
+  const std::vector<float> x = full->output()->Render(Seconds(1), Seconds(1));
+  std::vector<float> expected = x;
+  for (float& s : expected) {
+    s = 0.5f * s;
+  }
+  ASSERT_GT(Peak(x), 0.0);
+  EXPECT_TRUE(
+      BitIdentical(half->output()->Render(Seconds(1), Seconds(1)), expected));
+}
+
+TEST(ZoneDecodeSharingTest, TwoZonesShareWithinEachAndMatchWidthOne) {
+  SystemOptions options;
+  options.sharded.zones = 2;
+  options.sharded.threads = 2;
+  const std::vector<float> gains(4, 1.0f);
+  auto wide = RunZoneFleet(options, gains);
+  options.sharded.threads = 1;
+  auto narrow = RunZoneFleet(options, gains);
+
+  const auto& speakers = wide->speakers();
+  std::map<int, std::vector<const float*>> zone_storage;
+  for (size_t i = 0; i < speakers.size(); ++i) {
+    const std::vector<const float*> storage = ChunkStorage(speakers[i].get());
+    ASSERT_GT(storage.size(), 20u);
+    auto [it, first_member] = zone_storage.emplace(wide->ZoneOf(i), storage);
+    if (!first_member) {
+      EXPECT_EQ(storage, it->second) << "speaker " << i;
+    }
+  }
+  // Each zone decoded on its own shard: the zones hold separate copies.
+  ASSERT_EQ(zone_storage.size(), 2u);
+  EXPECT_NE(zone_storage[0][0], zone_storage[1][0]);
+
+  for (size_t i = 0; i < speakers.size(); ++i) {
+    const SpeakerStats& a = speakers[i]->stats();
+    const SpeakerStats& b = narrow->speakers()[i]->stats();
+    EXPECT_EQ(a.chunks_played, b.chunks_played) << i;
+    EXPECT_EQ(a.late_drops, b.late_drops) << i;
+    EXPECT_EQ(a.decode_errors, b.decode_errors) << i;
+    EXPECT_EQ(a.total_lateness_ns, b.total_lateness_ns) << i;
+    EXPECT_EQ(a.silence_ns, b.silence_ns) << i;
+    EXPECT_TRUE(BitIdentical(
+        speakers[i]->output()->Render(Seconds(1), Seconds(2)),
+        narrow->speakers()[i]->output()->Render(Seconds(1), Seconds(2))))
+        << i;
+  }
 }
 
 // ------------------------------------------------------------ AutoVolume --
