@@ -1,6 +1,7 @@
 #include "src/codec/vorbix.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -39,7 +40,16 @@ uint8_t QuantStepToIndex(double step) {
 }
 
 double IndexToQuantStep(uint8_t index) {
-  return std::exp2((static_cast<double>(index) - 128.0) / 4.0);
+  // Both codec sides look a step up once per band per block; the table
+  // holds exactly what the expression computes at run time.
+  static const std::array<double, 256> kSteps = [] {
+    std::array<double, 256> steps;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      steps[i] = std::exp2((static_cast<double>(i) - 128.0) / 4.0);
+    }
+    return steps;
+  }();
+  return kSteps[index];
 }
 
 VorbixEncoder::VorbixEncoder(const AudioConfig& config, int quality)

@@ -2,44 +2,29 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <cstring>
 
 namespace espk {
 
-void BitWriter::WriteBits(uint64_t value, int bits) {
-  assert(bits >= 0 && bits <= 64);
-  bit_count_ += static_cast<size_t>(bits);
-  while (bits > 0) {
-    const int take = std::min(8 - used_, bits);
-    const uint64_t chunk =
-        (value >> (bits - take)) & ((uint64_t{1} << take) - 1);
-    current_ = static_cast<uint8_t>((current_ << take) | chunk);
-    used_ += take;
-    bits -= take;
-    if (used_ == 8) {
-      buf_.push_back(current_);
-      current_ = 0;
-      used_ = 0;
-    }
+void BitWriter::AppendWord(uint64_t word) {
+  if constexpr (std::endian::native == std::endian::little) {
+    word = __builtin_bswap64(word);
   }
-}
-
-void BitWriter::WriteUnary(uint32_t count) {
-  while (count >= 32) {
-    WriteBits(0xFFFFFFFFull, 32);
-    count -= 32;
-  }
-  // `count` ones followed by the terminating zero, in one call.
-  WriteBits(((uint64_t{1} << count) - 1) << 1, static_cast<int>(count) + 1);
+  const size_t size = buf_.size();
+  buf_.resize(size + sizeof(word));
+  std::memcpy(buf_.data() + size, &word, sizeof(word));
 }
 
 const Bytes& BitWriter::Flush() {
-  if (used_ > 0) {
-    current_ = static_cast<uint8_t>(current_ << (8 - used_));
-    buf_.push_back(current_);
-    current_ = 0;
-    used_ = 0;
+  // Pending bits, left-aligned, then whole bytes until they are all out; the
+  // last byte's unused low bits are the zero padding.
+  uint64_t pending = used_ > 0 ? acc_ << (64 - used_) : 0;
+  for (int left = used_; left > 0; left -= 8) {
+    buf_.push_back(static_cast<uint8_t>(pending >> 56));
+    pending <<= 8;
   }
+  acc_ = 0;
+  used_ = 0;
   return buf_;
 }
 
@@ -50,13 +35,12 @@ Bytes BitWriter::Finish() {
 
 void BitWriter::Clear() {
   buf_.clear();
-  current_ = 0;
+  acc_ = 0;
   used_ = 0;
   bit_count_ = 0;
 }
 
-Result<uint64_t> BitReader::ReadBits(int bits) {
-  assert(bits >= 0 && bits <= 64);
+Result<uint64_t> BitReader::ReadBitsBytewise(int bits) {
   if (pos_ + static_cast<size_t>(bits) > len_ * 8) {
     return OutOfRangeError("bitstream exhausted");
   }
@@ -74,17 +58,11 @@ Result<uint64_t> BitReader::ReadBits(int bits) {
   return value;
 }
 
-Result<bool> BitReader::ReadBit() {
-  Result<uint64_t> bit = ReadBits(1);
-  if (!bit.ok()) {
-    return bit.status();
-  }
-  return *bit != 0;
-}
-
-Result<uint32_t> BitReader::ReadUnary(uint32_t max_run) {
-  const size_t end = len_ * 8;
+Result<uint32_t> BitReader::ReadLongUnary(uint32_t max_run) {
+  // A byte at a time from the current position; the inline path has
+  // consumed nothing, so the error and position left are the byte loop's.
   uint32_t count = 0;
+  const size_t end = len_ * 8;
   for (;;) {
     if (pos_ >= end) {
       return OutOfRangeError("bitstream exhausted");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numbers>
 
 namespace espk {
@@ -24,63 +25,70 @@ std::vector<double> SineWindow(size_t two_m) {
 Dct4Plan::Dct4Plan(size_t m)
     : m_(m),
       fft_(m / 2),
-      pre_even_(m / 2),
-      pre_odd_(m / 2),
-      post_even_(m / 2),
-      post_odd_(m / 2),
-      work_even_(m / 2),
-      work_odd_(m / 2) {
+      pre_re_(m / 2),
+      pre_im_(m / 2),
+      post_re_(m / 2),
+      post_im_(m / 2),
+      work_re_(m / 2),
+      work_im_(m / 2) {
   const size_t k = m / 2;
   const double md = static_cast<double>(m);
   for (size_t t = 0; t < k; ++t) {
     const double td = static_cast<double>(t);
-    pre_even_[t] = {std::cos(-kPi * td / md), std::sin(-kPi * td / md)};
-    pre_odd_[t] = {std::cos(-3.0 * kPi * td / md),
-                   std::sin(-3.0 * kPi * td / md)};
+    pre_re_[t] = Lane2{std::cos(-kPi * td / md),
+                       std::cos(-3.0 * kPi * td / md)};
+    pre_im_[t] = Lane2{std::sin(-kPi * td / md),
+                       std::sin(-3.0 * kPi * td / md)};
   }
   for (size_t s = 0; s < k; ++s) {
     const double ae = -kPi * (4.0 * static_cast<double>(s) + 1.0) / (4.0 * md);
     const double ao = -kPi * (4.0 * static_cast<double>(s) + 3.0) / (4.0 * md);
-    post_even_[s] = {std::cos(ae), std::sin(ae)};
-    post_odd_[s] = {std::cos(ao), std::sin(ao)};
+    post_re_[s] = Lane2{std::cos(ae), std::cos(ao)};
+    post_im_[s] = Lane2{std::sin(ae), std::sin(ao)};
   }
 }
 
 void Dct4Plan::Execute(const double* in, double* out) {
   const size_t m = m_;
   const size_t k = m / 2;
-  // Pack z[t] = in[2t] + i in[m-1-2t] and pre-twiddle in one pass, in
-  // explicit real arithmetic (see the FFT butterfly note: complex multiplies
-  // libcall into __muldc3 at -O2). Every read of `in` happens here, before
-  // any write to `out`, so out may alias in.
+  Lane2* re = work_re_.data();
+  Lane2* im = work_im_.data();
+  // Pack z[t] = in[2t] + i in[m-1-2t] into lane 0 and conj(z[t]) into lane
+  // 1, pre-twiddle, and store at the FFT's bit-reversed slot. Every read of
+  // `in` happens here, before any write to `out`, so out may alias in.
+  const Lane2* pre_re = pre_re_.data();
+  const Lane2* pre_im = pre_im_.data();
   for (size_t t = 0; t < k; ++t) {
     const double zr = in[2 * t];
     const double zi = in[m - 1 - 2 * t];
-    const double er = pre_even_[t].real();
-    const double ei = pre_even_[t].imag();
-    const double or_ = pre_odd_[t].real();
-    const double oi = pre_odd_[t].imag();
-    work_even_[t] = {zr * er - zi * ei, zr * ei + zi * er};
-    work_odd_[t] = {zr * or_ + zi * oi, zr * oi - zi * or_};
+    const Lane2 xr = {zr, zr};
+    const Lane2 xi = {zi, -zi};
+    const size_t slot = fft_.bitrev(t);
+    re[slot] = xr * pre_re[t] - xi * pre_im[t];
+    im[slot] = xr * pre_im[t] + xi * pre_re[t];
   }
-  fft_.Forward(work_even_.data());
-  fft_.Forward(work_odd_.data());
+  fft_.Transform(re, im);
+  const Lane2* post_re = post_re_.data();
+  const Lane2* post_im = post_im_.data();
   for (size_t s = 0; s < k; ++s) {
-    out[2 * s] = post_even_[s].real() * work_even_[s].real() -
-                 post_even_[s].imag() * work_even_[s].imag();
-    out[2 * s + 1] = post_odd_[s].real() * work_odd_[s].real() -
-                     post_odd_[s].imag() * work_odd_[s].imag();
+    const Lane2 pair = post_re[s] * re[s] - post_im[s] * im[s];
+    std::memcpy(out + 2 * s, &pair, sizeof(pair));
   }
 }
 
 Mdct::Mdct(size_t half_length)
     : m_(half_length),
       window_(SineWindow(2 * m_)),
+      inverse_window_(2 * m_),
       dct4_(m_),
       fold_(m_) {
   if (!IsPowerOfTwo(m_) || m_ < 8) {
     std::fprintf(stderr, "espk: MDCT half-length %zu must be 2^k >= 8\n", m_);
     std::abort();
+  }
+  const double scale = 2.0 / static_cast<double>(m_);
+  for (size_t n = 0; n < 2 * m_; ++n) {
+    inverse_window_[n] = scale * window_[n];
   }
 }
 
@@ -103,19 +111,17 @@ void Mdct::Inverse(const double* coeffs, double* output) {
   const size_t m = m_;
   dct4_.Execute(coeffs, fold_.data());
   const double* u = fold_.data();
-  // Unfold (transpose of the forward fold), then window + scale.
+  // Unfold (transpose of the forward fold), windowed and scaled in the
+  // same pass.
+  const double* w = inverse_window_.data();
   for (size_t n = 0; n < m / 2; ++n) {
-    output[n] = u[n + m / 2];
+    output[n] = u[n + m / 2] * w[n];
   }
   for (size_t n = m / 2; n < 3 * m / 2; ++n) {
-    output[n] = -u[3 * m / 2 - 1 - n];
+    output[n] = -u[3 * m / 2 - 1 - n] * w[n];
   }
   for (size_t n = 3 * m / 2; n < 2 * m; ++n) {
-    output[n] = -u[n - 3 * m / 2];
-  }
-  const double scale = 2.0 / static_cast<double>(m);
-  for (size_t n = 0; n < 2 * m; ++n) {
-    output[n] *= scale * window_[n];
+    output[n] = -u[n - 3 * m / 2] * w[n];
   }
 }
 

@@ -41,9 +41,18 @@ std::vector<double> SineWindow(size_t two_m);
 // (split the DCT-IV sum over even/odd j, then over even/odd k; the odd-j
 // cosine collapses to (+/-)sin at half-integer frequencies). ~2.5x fewer
 // butterflies than the zero-padded 2M-point FFT form, and no zero padding.
-// All twiddle tables and the complex work buffers are precomputed /
-// preallocated at construction; dsp_test pins Execute against the direct
-// O(N^2) formula for every supported size.
+//
+// The two FFTs share their twiddles, so they run as the two lanes of one
+// FftPlan::Transform: lane 0 is the even FFT, lane 1 the odd one. The pack
+// stores conj(z) in lane 1 and pre-twiddles both lanes with one complex
+// multiply, writing straight into bit-reversed slots; the post-twiddle
+// emits out[2s] and out[2s+1] as one lane pair. Each lane does the same IEEE
+// operations in the same order as two separate scalar FFTs would (negating
+// an operand and flipping the following add/subtract is exact), so Execute
+// is bit-identical to that form: dsp_test pins it with memcmp against a
+// scalar reference, and against the direct O(N^2) formula numerically.
+// All twiddle tables and the work buffers are precomputed / preallocated at
+// construction.
 class Dct4Plan {
  public:
   explicit Dct4Plan(size_t m);
@@ -56,13 +65,16 @@ class Dct4Plan {
 
  private:
   size_t m_;
-  FftPlan fft_;                                  // size M/2
-  std::vector<std::complex<double>> pre_even_;   // e^{-i pi t/M}
-  std::vector<std::complex<double>> pre_odd_;    // e^{-3i pi t/M}
-  std::vector<std::complex<double>> post_even_;  // e^{-i pi (4s+1)/(4M)}
-  std::vector<std::complex<double>> post_odd_;   // e^{-i pi (4s+3)/(4M)}
-  std::vector<std::complex<double>> work_even_;  // M/2 scratch
-  std::vector<std::complex<double>> work_odd_;   // M/2 scratch
+  FftPlan fft_;  // size M/2
+  // Per lane {even, odd}: pre-twiddles {e^{-i pi t/M}, e^{-3i pi t/M}} and
+  // post-twiddles {e^{-i pi (4s+1)/(4M)}, e^{-i pi (4s+3)/(4M)}}, split
+  // into real and imaginary parts.
+  std::vector<Lane2> pre_re_;
+  std::vector<Lane2> pre_im_;
+  std::vector<Lane2> post_re_;
+  std::vector<Lane2> post_im_;
+  std::vector<Lane2> work_re_;  // M/2 scratch, both lanes
+  std::vector<Lane2> work_im_;
 };
 
 // Precomputed transform for half-length M (a power of two >= 8). The window
@@ -86,6 +98,8 @@ class Mdct {
  private:
   size_t m_;
   std::vector<double> window_;  // length 2M
+  // (2/M) * window_[n], the inverse's output scale, same product per sample.
+  std::vector<double> inverse_window_;
   Dct4Plan dct4_;
   std::vector<double> fold_;    // M scratch (fold / DCT-IV output)
 };

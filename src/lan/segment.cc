@@ -20,7 +20,13 @@ std::unique_ptr<SimNic> EthernetSegment::CreateNic() {
 }
 
 void EthernetSegment::Detach(SimNic* nic) {
-  nics_.erase(std::remove(nics_.begin(), nics_.end(), nic), nics_.end());
+  // nics_ is in creation order, which is ascending node id; erasing keeps
+  // that order (the per-receiver loss/jitter draw order).
+  const auto it = std::lower_bound(
+      nics_.begin(), nics_.end(), nic->node_,
+      [](const SimNic* a, NodeId id) { return a->node_ < id; });
+  assert(it != nics_.end() && *it == nic);
+  nics_.erase(it);
 }
 
 void EthernetSegment::EnableSharding(ShardGroup* shards, int home_shard) {

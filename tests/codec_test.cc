@@ -528,6 +528,16 @@ TEST(CodecFactoryTest, QuantStepIndexRoundTrip) {
   }
 }
 
+// The step table must hold exactly what the expression gives at run time,
+// for every index a packet can carry.
+TEST(CodecFactoryTest, QuantStepTableMatchesTheExpressionForEveryIndex) {
+  for (int i = 0; i < 256; ++i) {
+    const double want = std::exp2((static_cast<double>(i) - 128.0) / 4.0);
+    const double got = IndexToQuantStep(static_cast<uint8_t>(i));
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0) << "index " << i;
+  }
+}
+
 TEST(CodecFactoryTest, RejectsInvalidConfig) {
   AudioConfig bad = AudioConfig::CdQuality();
   bad.channels = 0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/lan/segment.h"
 #include "src/lan/udp_transport.h"
 #include "src/sim/shard.h"
@@ -296,6 +300,59 @@ TEST(SegmentTest, GroupZeroIsReserved) {
   auto nic = segment.CreateNic();
   EXPECT_FALSE(nic->JoinGroup(0).ok());
   EXPECT_FALSE(nic->SendMulticast(0, {1}).ok());
+}
+
+// Destroying NICs in any order keeps the survivors in creation order, which
+// is the order fan-out visits receivers and draws their loss: the survivors
+// of a 12-receiver segment see exactly what the receivers of a fresh
+// 7-receiver segment with the same seed see, in the same order.
+TEST(SegmentTest, DetachOutOfOrderKeepsCreationOrder) {
+  SegmentConfig config;
+  config.loss_probability = 0.3;
+  using Arrival = std::pair<int, size_t>;  // (packet, receiver position)
+
+  auto run = [&](size_t receivers, const std::vector<size_t>& destroy,
+                 size_t* members) {
+    Simulation sim;
+    EthernetSegment segment(&sim, config);
+    auto sender = segment.CreateNic();
+    std::vector<std::unique_ptr<SimNic>> nics;
+    for (size_t i = 0; i < receivers; ++i) {
+      nics.push_back(segment.CreateNic());
+      EXPECT_TRUE(nics.back()->JoinGroup(9).ok());
+    }
+    for (size_t index : destroy) {
+      nics[index].reset();
+    }
+    std::vector<Arrival> arrivals;
+    int packet = 0;
+    size_t position = 0;
+    for (auto& nic : nics) {
+      if (nic != nullptr) {
+        nic->SetReceiveHandler([&arrivals, &packet, position](const Datagram&) {
+          arrivals.emplace_back(packet, position);
+        });
+        ++position;
+      }
+    }
+    *members = segment.GroupMemberCount(9);
+    for (packet = 0; packet < 40; ++packet) {
+      EXPECT_TRUE(sender->SendMulticast(9, {1, 2, 3}).ok());
+      sim.Run();
+    }
+    return arrivals;
+  };
+
+  size_t detached_members = 0;
+  const std::vector<Arrival> detached =
+      run(12, {7, 2, 11, 0, 5}, &detached_members);
+  size_t fresh_members = 0;
+  const std::vector<Arrival> fresh = run(7, {}, &fresh_members);
+  EXPECT_EQ(detached_members, 7u);
+  EXPECT_EQ(fresh_members, 7u);
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_LT(fresh.size(), 7u * 40u);  // Some deliveries were lost.
+  EXPECT_EQ(detached, fresh);
 }
 
 // ------------------------------------------------------- zone routing --
