@@ -19,12 +19,38 @@ std::unique_ptr<SimNic> EthernetSegment::CreateNic() {
   return nic;
 }
 
+namespace {
+
+// The first entry of a node-id-sorted receiver list whose node is not
+// below `node`.
+template <typename List>
+auto LowerBoundNode(List& list, NodeId node) {
+  return std::lower_bound(
+      list.begin(), list.end(), node,
+      [](const auto& entry, NodeId id) { return entry.node < id; });
+}
+
+// The same over the segment's NICs, which are in creation order: ascending
+// node id.
+std::vector<SimNic*>::iterator LowerBoundNic(std::vector<SimNic*>& nics,
+                                             NodeId node) {
+  return std::lower_bound(
+      nics.begin(), nics.end(), node,
+      [](const SimNic* nic, NodeId id) { return nic->node_id() < id; });
+}
+
+}  // namespace
+
 void EthernetSegment::Detach(SimNic* nic) {
-  // nics_ is in creation order, which is ascending node id; erasing keeps
-  // that order (the per-receiver loss/jitter draw order).
-  const auto it = std::lower_bound(
-      nics_.begin(), nics_.end(), nic->node_,
-      [](const SimNic* a, NodeId id) { return a->node_ < id; });
+  for (GroupId group : nic->groups_) {
+    std::vector<GroupReceiver>& list = receivers_[group];
+    const auto it = LowerBoundNode(list, nic->node_);
+    assert(it != list.end() && it->nic == nic);
+    list.erase(it);
+  }
+  // Erasing keeps nics_ in creation order (the unicast/broadcast draw
+  // order).
+  const auto it = LowerBoundNic(nics_, nic->node_);
   assert(it != nics_.end() && *it == nic);
   nics_.erase(it);
 }
@@ -51,16 +77,19 @@ void EthernetSegment::AssignZone(SimNic* nic, int shard, int member) {
   nic->zone_shard_ = shard;
   nic->zone_member_ = member;
   nic->handler_ = nullptr;
+  for (GroupId group : nic->groups_) {
+    std::vector<GroupReceiver>& list = receivers_[group];
+    const auto it = LowerBoundNode(list, nic->node_);
+    assert(it != list.end() && it->nic == nic);
+    it->zone_shard = shard;
+    it->zone_member = member;
+  }
 }
 
 void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
                                         bool join) {
-  auto apply = [nic, group, join] {
-    if (join) {
-      nic->groups_.insert(group);
-    } else {
-      nic->groups_.erase(group);
-    }
+  auto apply = [this, node = nic->node_, group, join] {
+    ApplyMembership(node, group, join);
   };
   const bool off_home =
       nic->zone_shard_ >= 0 && nic->zone_shard_ != home_shard_;
@@ -82,14 +111,33 @@ void EthernetSegment::RequestMembership(SimNic* nic, GroupId group,
   sim_->ScheduleAt(sim_->now() + config_.join_latency, std::move(apply));
 }
 
-size_t EthernetSegment::GroupMemberCount(GroupId group) const {
-  size_t count = 0;
-  for (const SimNic* nic : nics_) {
-    if (nic->IsJoined(group)) {
-      ++count;
-    }
+void EthernetSegment::ApplyMembership(NodeId node, GroupId group,
+                                      bool join) {
+  const auto at = LowerBoundNic(nics_, node);
+  if (at == nics_.end() || (*at)->node_ != node) {
+    return;  // The NIC was destroyed while the request was in flight.
   }
-  return count;
+  SimNic* nic = *at;
+  std::vector<GroupId>& groups = nic->groups_;
+  const auto joined = std::find(groups.begin(), groups.end(), group);
+  if (join == (joined != groups.end())) {
+    return;
+  }
+  std::vector<GroupReceiver>& list = receivers_[group];
+  const auto slot = LowerBoundNode(list, node);
+  if (join) {
+    groups.push_back(group);
+    list.insert(slot,
+                GroupReceiver{node, nic->zone_shard_, nic->zone_member_, nic});
+  } else {
+    groups.erase(joined);
+    list.erase(slot);
+  }
+}
+
+size_t EthernetSegment::GroupMemberCount(GroupId group) const {
+  const auto it = receivers_.find(group);
+  return it == receivers_.end() ? 0 : it->second.size();
 }
 
 void EthernetSegment::Transmit(const Datagram& datagram) {
@@ -128,47 +176,58 @@ void EthernetSegment::Transmit(const Datagram& datagram) {
   stats_.bytes_on_wire += wire_bytes;
   wire_meter_.Record(now, wire_bytes);
 
+  // No local loopback on either path; the sender knows what it sent.
   const SimTime wire_done = medium_free_at_;
-  for (SimNic* nic : nics_) {
-    if (nic->node_id() == datagram.source) {
-      continue;  // No local loopback; the sender knows what it sent.
-    }
-    bool wants = false;
-    if (datagram.group != 0) {
-      wants = nic->IsJoined(datagram.group);
-    } else {
-      wants = datagram.destination == nic->node_id() ||
-              datagram.destination == kBroadcastNode;
-    }
-    if (!wants) {
-      continue;
-    }
-    ++stats_.deliveries;
-    if (config_.loss_probability > 0.0 &&
-        prng_.NextBool(config_.loss_probability)) {
-      ++stats_.deliveries_lost;
-      if (tracer_ != nullptr && datagram.trace.valid) {
-        tracer_->Record(datagram.trace.stream_id, datagram.trace.seq,
-                        TraceStage::kLinkLoss, nic->node_id());
+  if (datagram.group != 0) {
+    const auto it = receivers_.find(datagram.group);
+    if (it != receivers_.end()) {
+      for (const GroupReceiver& receiver : it->second) {
+        if (receiver.node != datagram.source) {
+          Offer(datagram, receiver, wire_done);
+        }
       }
-      continue;
     }
-    SimTime arrival = wire_done + config_.base_delay;
-    if (config_.jitter > 0) {
-      arrival += static_cast<SimDuration>(
-          prng_.NextBelow(static_cast<uint64_t>(config_.jitter)));
-    }
-    if (nic->zone_shard_ >= 0) {
-      ZoneBatch& batch = zone_batches_[static_cast<size_t>(nic->zone_shard_)];
-      if (batch.entries.empty() || arrival < batch.min_arrival) {
-        batch.min_arrival = arrival;
+  } else {
+    for (SimNic* nic : nics_) {
+      if (nic->node_ != datagram.source &&
+          (datagram.destination == nic->node_ ||
+           datagram.destination == kBroadcastNode)) {
+        Offer(datagram,
+              GroupReceiver{nic->node_, nic->zone_shard_, nic->zone_member_,
+                            nic},
+              wire_done);
       }
-      batch.entries.push_back(ZoneDeliveryEntry{nic->zone_member_, arrival});
-      continue;
     }
-    DeliverTo(nic, datagram, arrival);
   }
   FlushZoneBatches(datagram);
+}
+
+void EthernetSegment::Offer(const Datagram& datagram,
+                            const GroupReceiver& receiver, SimTime wire_done) {
+  ++stats_.deliveries;
+  if (config_.loss_probability > 0.0 &&
+      prng_.NextBool(config_.loss_probability)) {
+    ++stats_.deliveries_lost;
+    if (tracer_ != nullptr && datagram.trace.valid) {
+      tracer_->Record(datagram.trace.stream_id, datagram.trace.seq,
+                      TraceStage::kLinkLoss, receiver.node);
+    }
+    return;
+  }
+  SimTime arrival = wire_done + config_.base_delay;
+  if (config_.jitter > 0) {
+    arrival += static_cast<SimDuration>(
+        prng_.NextBelow(static_cast<uint64_t>(config_.jitter)));
+  }
+  if (receiver.zone_shard >= 0) {
+    ZoneBatch& batch = zone_batches_[static_cast<size_t>(receiver.zone_shard)];
+    if (batch.entries.empty() || arrival < batch.min_arrival) {
+      batch.min_arrival = arrival;
+    }
+    batch.entries.push_back(ZoneDeliveryEntry{receiver.zone_member, arrival});
+    return;
+  }
+  DeliverTo(receiver.nic, datagram, arrival);
 }
 
 void EthernetSegment::FlushZoneBatches(const Datagram& datagram) {

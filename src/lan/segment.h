@@ -9,9 +9,10 @@
 #ifndef SRC_LAN_SEGMENT_H_
 #define SRC_LAN_SEGMENT_H_
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/prng.h"
@@ -146,12 +147,28 @@ class EthernetSegment {
  private:
   friend class SimNic;
 
+  // One joined station of a group, as multicast fan-out needs it: the
+  // zone routing is copied here so Transmit never touches the NIC itself
+  // for a zone delivery.
+  struct GroupReceiver {
+    NodeId node = 0;
+    int zone_shard = -1;
+    int zone_member = -1;
+    SimNic* nic = nullptr;
+  };
+
   // Applies a join/leave on the NIC's effective membership set, honoring
   // the join-latency knob and — for zone NICs off the home shard during an
   // epoch — marshalling the mutation to the home shard (where Transmit
   // reads membership) via the barrier, deferred by at least the lookahead.
   void RequestMembership(SimNic* nic, GroupId group, bool join);
+  // The deferred half of RequestMembership. Looks the station up by node
+  // id, so a NIC destroyed while its request was in flight is a no-op.
+  void ApplyMembership(NodeId node, GroupId group, bool join);
   void Transmit(const Datagram& datagram);
+  // Loss/jitter draw and hand-off for one receiver that wants `datagram`.
+  void Offer(const Datagram& datagram, const GroupReceiver& receiver,
+             SimTime wire_done);
   void DeliverTo(SimNic* nic, const Datagram& datagram, SimTime arrival);
   void FlushZoneBatches(const Datagram& datagram);
   void Detach(SimNic* nic);
@@ -171,6 +188,10 @@ class EthernetSegment {
   NodeId next_node_ = 1;
   SimTime medium_free_at_ = 0;  // CSMA-free abstraction: FIFO serialization.
   std::vector<SimNic*> nics_;
+  // Group -> effective members, sorted by node id: creation order, which
+  // is the order a scan of nics_ would draw loss/jitter in. Multicast
+  // fan-out walks only this list; unicast and broadcast scan nics_.
+  std::unordered_map<GroupId, std::vector<GroupReceiver>> receivers_;
   ShardGroup* shards_ = nullptr;  // Null: no zones, every NIC DeliverTo.
   int home_shard_ = 0;
   std::vector<ZoneSink*> zone_sinks_;  // Indexed by shard.
@@ -198,7 +219,9 @@ class SimNic : public Transport {
 
   // Effective membership — what fan-out sees. Lags requested membership by
   // the segment's join_latency (and, sharded, by the epoch barrier).
-  bool IsJoined(GroupId group) const { return groups_.count(group) > 0; }
+  bool IsJoined(GroupId group) const {
+    return std::find(groups_.begin(), groups_.end(), group) != groups_.end();
+  }
 
   // Receive-side accounting for experiments.
   uint64_t packets_received() const { return packets_received_; }
@@ -226,8 +249,9 @@ class SimNic : public Transport {
   // Effective membership, mutated only on the segment's home shard (where
   // Transmit reads it). `desired_groups_` is the caller-side view, updated
   // synchronously at request time for join/leave validation; the two sets
-  // coincide whenever join_latency is 0 on an unsharded run.
-  std::set<GroupId> groups_;
+  // coincide whenever join_latency is 0 on an unsharded run. A station
+  // joins a handful of groups, so the effective set is a small vector.
+  std::vector<GroupId> groups_;
   std::set<GroupId> desired_groups_;
   ReceiveHandler handler_;
   uint64_t packets_received_ = 0;

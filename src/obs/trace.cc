@@ -43,8 +43,22 @@ std::string_view TraceStageName(TraceStage stage) {
   return "?";
 }
 
+TraceRing::TraceRing(size_t capacity) : capacity_(capacity) {
+  slots_.reserve(capacity_);
+}
+
+bool TraceRing::Push(const TraceEvent& event) {
+  if (slots_.size() < capacity_) {
+    slots_.push_back(event);
+    return false;
+  }
+  slots_[head_] = event;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  return true;
+}
+
 PacketTracer::PacketTracer(Simulation* sim, size_t capacity)
-    : sim_(sim), capacity_(capacity > 0 ? capacity : 1) {}
+    : sim_(sim), ring_(capacity > 0 ? capacity : 1) {}
 
 void PacketTracer::Push(TraceEvent event) {
   event.recorded = sim_->now();
@@ -52,11 +66,9 @@ void PacketTracer::Push(TraceEvent event) {
 }
 
 void PacketTracer::Ingest(const TraceEvent& event) {
-  if (ring_.size() >= capacity_) {
-    ring_.pop_front();
+  if (ring_.Push(event)) {
     ++dropped_;
   }
-  ring_.push_back(event);
   ++recorded_;
   if (observer_ != nullptr) {
     observer_->OnTraceEvent(ring_.back());

@@ -15,8 +15,10 @@
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -71,6 +73,64 @@ struct TraceEvent {
   // ring position) order — a strict total order, since per-ring positions
   // are unique — so the merged mirror is deterministic.
   SimTime recorded = 0;
+};
+
+// The tracer's event store: a fixed-capacity ring whose slots are allocated
+// once, at construction. Once full, each push overwrites the oldest event.
+// Indexing and iteration run oldest to newest.
+class TraceRing {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TraceEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TraceEvent*;
+    using reference = const TraceEvent&;
+
+    Iterator() = default;
+    Iterator(const TraceRing* ring, size_t index)
+        : ring_(ring), index_(index) {}
+    reference operator*() const { return (*ring_)[index_]; }
+    pointer operator->() const { return &(*ring_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++index_;
+      return old;
+    }
+    bool operator==(const Iterator& other) const = default;
+
+   private:
+    const TraceRing* ring_ = nullptr;
+    size_t index_ = 0;
+  };
+
+  explicit TraceRing(size_t capacity);
+
+  // Appends `event`; returns true when that evicted the oldest one.
+  bool Push(const TraceEvent& event);
+
+  size_t size() const { return slots_.size(); }
+  size_t capacity() const { return capacity_; }
+  // i = 0 is the oldest retained event.
+  const TraceEvent& operator[](size_t i) const {
+    const size_t slot = head_ + i;
+    return slots_[slot < slots_.size() ? slot : slot - slots_.size()];
+  }
+  const TraceEvent& back() const { return (*this)[slots_.size() - 1]; }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, slots_.size()); }
+
+ private:
+  size_t capacity_;
+  // Reserved to capacity up front; grows by push_back until full, then
+  // each push overwrites slots_[head_], the oldest event.
+  std::vector<TraceEvent> slots_;
+  size_t head_ = 0;
 };
 
 // Receives every event the tracer records, at record time. The span
@@ -148,10 +208,10 @@ class PacketTracer {
   // them — consumers that need time order must sort by `at`.
   std::vector<TraceEvent> EventsFor(uint32_t stream_id, uint32_t seq) const;
 
-  const std::deque<TraceEvent>& events() const { return ring_; }
+  const TraceRing& events() const { return ring_; }
   uint64_t recorded() const { return recorded_; }
   uint64_t dropped() const { return dropped_; }
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
 
   // Latency from `from` to `to`, in milliseconds, over every packet in the
   // ring that has both stages (a speaker stage may appear once per
@@ -174,10 +234,9 @@ class PacketTracer {
   void Push(TraceEvent event);
 
   Simulation* sim_;
-  size_t capacity_;
   TraceObserver* observer_ = nullptr;
   bool span_stages_ = false;
-  std::deque<TraceEvent> ring_;
+  TraceRing ring_;
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;
   std::map<std::pair<uint32_t, uint8_t>, StreamStage> byte_state_;

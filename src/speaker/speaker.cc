@@ -11,7 +11,11 @@ namespace espk {
 
 EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
                                  const SpeakerOptions& options)
-    : sim_(sim), nic_(nic), options_(options) {
+    : sim_(sim),
+      nic_(nic),
+      options_(options),
+      tracer_(options.tracer),
+      node_id_(nic->node_id()) {
   nic_->SetReceiveHandler(
       [this](const Datagram& datagram) { HandleDatagram(datagram); });
 }
@@ -19,28 +23,28 @@ EthernetSpeaker::EthernetSpeaker(Simulation* sim, Transport* nic,
 EthernetSpeaker::~EthernetSpeaker() = default;
 
 Status EthernetSpeaker::Subscribe(GroupId group) {
-  if (sessions_.count(group) > 0) {
+  if (FindSession(group) != nullptr) {
     return AlreadyExistsError("already subscribed to group " +
                               std::to_string(group));
   }
   ESPK_RETURN_IF_ERROR(nic_->JoinGroup(group));
-  sessions_[group] =
-      std::make_unique<StreamSession>(this, group, ++next_session_epoch_);
   subscribe_order_.push_back(group);
+  sessions_.push_back(
+      std::make_unique<StreamSession>(this, group, ++next_session_epoch_));
   return OkStatus();
 }
 
 Status EthernetSpeaker::Unsubscribe(GroupId group) {
-  auto it = sessions_.find(group);
-  if (it == sessions_.end()) {
+  const auto it =
+      std::find(subscribe_order_.begin(), subscribe_order_.end(), group);
+  if (it == subscribe_order_.end()) {
     return NotFoundError("not subscribed to group " + std::to_string(group));
   }
   ESPK_RETURN_IF_ERROR(nic_->LeaveGroup(group));
   // The session's share of the jitter buffer leaves with it; in-flight
   // pipeline obligations carry its (now stale) epoch and become no-ops.
-  sessions_.erase(it);
-  subscribe_order_.erase(
-      std::find(subscribe_order_.begin(), subscribe_order_.end(), group));
+  sessions_.erase(sessions_.begin() + (it - subscribe_order_.begin()));
+  subscribe_order_.erase(it);
   if (sessions_.empty()) {
     // Matches the historical Tune/Untune reset: an idle device's decode
     // pipeline does not stay busy into its next subscription.
@@ -73,9 +77,13 @@ std::optional<GroupId> EthernetSpeaker::tuned_group() const {
   return subscribe_order_.front();
 }
 
-StreamSession* EthernetSpeaker::FindSession(GroupId group) {
-  auto it = sessions_.find(group);
-  return it == sessions_.end() ? nullptr : it->second.get();
+StreamSession* EthernetSpeaker::FindSession(GroupId group) const {
+  for (size_t i = 0; i < subscribe_order_.size(); ++i) {
+    if (subscribe_order_[i] == group) {
+      return sessions_[i].get();
+    }
+  }
+  return nullptr;
 }
 
 StreamSession* EthernetSpeaker::session(GroupId group) {
@@ -83,20 +91,15 @@ StreamSession* EthernetSpeaker::session(GroupId group) {
 }
 
 const StreamSession* EthernetSpeaker::session(GroupId group) const {
-  auto it = sessions_.find(group);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  return FindSession(group);
 }
 
 StreamSession* EthernetSpeaker::primary() {
-  return subscribe_order_.empty()
-             ? nullptr
-             : sessions_.at(subscribe_order_.front()).get();
+  return sessions_.empty() ? nullptr : sessions_.front().get();
 }
 
 const StreamSession* EthernetSpeaker::primary() const {
-  return subscribe_order_.empty()
-             ? nullptr
-             : sessions_.at(subscribe_order_.front()).get();
+  return sessions_.empty() ? nullptr : sessions_.front().get();
 }
 
 OutputRecorder* EthernetSpeaker::output() {
@@ -110,7 +113,7 @@ const std::optional<AudioConfig>& EthernetSpeaker::config() const {
 }
 
 bool EthernetSpeaker::ready() const {
-  for (const auto& [group, session] : sessions_) {
+  for (const auto& session : sessions_) {
     if (session->ready()) {
       return true;
     }
@@ -120,7 +123,7 @@ bool EthernetSpeaker::ready() const {
 
 size_t EthernetSpeaker::queued_pcm_bytes() const {
   size_t total = 0;
-  for (const auto& [group, session] : sessions_) {
+  for (const auto& session : sessions_) {
     total += session->queued_pcm_bytes();
   }
   return total;
@@ -129,10 +132,9 @@ size_t EthernetSpeaker::queued_pcm_bytes() const {
 std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
                                               SimDuration duration) {
   StreamSession* base = nullptr;
-  for (GroupId group : subscribe_order_) {
-    StreamSession* s = sessions_.at(group).get();
-    if (s->ready()) {
-      base = s;
+  for (const auto& session : sessions_) {
+    if (session->ready()) {
+      base = session.get();
       break;
     }
   }
@@ -140,8 +142,8 @@ std::vector<float> EthernetSpeaker::RenderMix(SimTime from,
     return {};
   }
   std::vector<float> mix = base->output()->Render(from, duration);
-  for (GroupId group : subscribe_order_) {
-    StreamSession* s = sessions_.at(group).get();
+  for (const auto& session : sessions_) {
+    StreamSession* s = session.get();
     if (s == base || !s->ready() ||
         s->config()->sample_rate != base->config()->sample_rate ||
         s->config()->channels != base->config()->channels) {
@@ -214,8 +216,8 @@ void EthernetSpeaker::CommitPlay(PendingPlay play) {
 
 void EthernetSpeaker::Trace(uint32_t stream_id, uint32_t seq,
                             TraceStage stage) {
-  if (options_.tracer != nullptr) {
-    options_.tracer->Record(stream_id, seq, stage, nic_->node_id());
+  if (tracer_ != nullptr) {
+    tracer_->Record(stream_id, seq, stage, node_id_);
   }
 }
 

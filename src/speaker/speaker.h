@@ -17,7 +17,7 @@
 // Neoware EON 4000); large producer buffers therefore stall the pipeline
 // exactly as §3.4 describes — bench C5 sweeps that.
 //
-// Beyond the paper's one-channel radio: a speaker holds a MAP of
+// Beyond the paper's one-channel radio: a speaker holds a set of
 // StreamSessions (src/speaker/stream_session.h), one per subscribed group,
 // and may Subscribe/Unsubscribe at runtime. Per-stream state (sync, jitter
 // accounting, decoder, output) lives in the session; the speaker keeps
@@ -30,10 +30,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/audio/format.h"
@@ -95,17 +95,21 @@ struct DecoderKey {
   bool operator==(const DecoderKey& other) const = default;
 };
 
-// One zone batch's decode, filled by the first member to decode the packet
-// (src/speaker/speaker_zone.h). Decode returns that member's result — the
-// PCM or the decode error — to every member whose key equals the filler's,
-// and decodes afresh, leaving the cell alone, for a member whose key
-// differs (its session is mid-reconfiguration, or on another codec).
+// One zone batch's data packet and its decode (src/speaker/speaker_zone.h).
+// The cell holds the zone's one reference to the packet's payload slice, so
+// members carry the cell alone. The first member to decode fills it, and
+// Decode returns that member's result — the PCM or the decode error — to
+// every member whose key equals the filler's. A member whose key differs
+// (its session is mid-reconfiguration, or on another codec) decodes the
+// cell's payload afresh and leaves the cell alone.
 class DecodeCell {
  public:
-  Result<SharedPcm> Decode(const DecoderKey& key, AudioDecoder* decoder,
-                           const BufferSlice& payload);
+  explicit DecodeCell(BufferSlice payload) : payload_(std::move(payload)) {}
+
+  Result<SharedPcm> Decode(const DecoderKey& key, AudioDecoder* decoder);
 
  private:
+  BufferSlice payload_;
   DecoderKey key_;
   std::optional<Result<SharedPcm>> result_;
 };
@@ -128,11 +132,11 @@ struct PendingDecode {
   uint32_t stream_id = 0;
   uint32_t seq = 0;
   SimTime local_deadline = 0;
-  BufferSlice payload;  // Zero-copy slice of the arrival buffer.
   size_t decoded_bytes = 0;
-  // The zone batch's shared decode; null on the per-datagram route, which
-  // decodes privately.
+  // The zone batch's payload and shared decode. Null on the per-datagram
+  // route, which carries `payload` and decodes privately.
   LocalRef<DecodeCell> cell;
+  BufferSlice payload;  // Zero-copy slice of the arrival buffer; no cell.
 };
 
 // A decoded chunk that arrived early and owes the pipeline a playout at
@@ -249,7 +253,8 @@ class EthernetSpeaker {
   // Stage 1, at arrival time: admission (stats, auth, session routing by
   // the datagram's `group`, control handling, dedup/overflow checks). Fills
   // `*out` with the decode obligation for an admitted data packet;
-  // out->valid stays false otherwise.
+  // out->valid stays false otherwise. A caller that set out->cell keeps the
+  // payload there; otherwise the obligation takes its own slice.
   void IngestParsed(const Result<ParsedPacket>& parsed, GroupId group,
                     PendingDecode* out);
   // Stage 2, at pending.decode_done: decode + deadline triage. An
@@ -267,18 +272,22 @@ class EthernetSpeaker {
   void CommitDecode(PendingDecode pending);
   void CommitPlay(PendingPlay play);
   void Trace(uint32_t stream_id, uint32_t seq, TraceStage stage);
-  StreamSession* FindSession(GroupId group);
+  StreamSession* FindSession(GroupId group) const;
   StreamSession* primary();
   const StreamSession* primary() const;
 
   Simulation* sim_;
   Transport* nic_;
   SpeakerOptions options_;
+  // Read on every traced stage; cached so tracing never reaches into the
+  // NIC.
+  PacketTracer* const tracer_;
+  const NodeId node_id_;
 
-  // Active subscriptions: group -> session, plus subscription order (the
-  // front is the primary the legacy accessors expose).
-  std::map<GroupId, std::unique_ptr<StreamSession>> sessions_;
+  // Active subscriptions in subscription order (the front is the primary
+  // the legacy accessors expose): sessions_[i] serves subscribe_order_[i].
   std::vector<GroupId> subscribe_order_;
+  std::vector<std::unique_ptr<StreamSession>> sessions_;
   uint64_t next_session_epoch_ = 0;
 
   // Decode pipeline: ONE decode CPU per device, shared by every session —

@@ -58,8 +58,10 @@ void SpeakerZone::DeliverBatch(const Datagram& datagram,
   // Decode ONCE for the whole zone too: a data packet's members share one
   // lazily filled cell, whichever instant each of them decodes at.
   LocalRef<DecodeCell> cell;
-  if (parsed.ok() && std::holds_alternative<DataPacket>(parsed->packet)) {
-    cell = LocalRef<DecodeCell>::Make();
+  if (parsed.ok()) {
+    if (const auto* data = std::get_if<DataPacket>(&parsed->packet)) {
+      cell = LocalRef<DecodeCell>::Make(data->payload);
+    }
   }
   const SimTime now = sim_->now();
   std::vector<DecodeJob> jobs;
@@ -96,9 +98,9 @@ void SpeakerZone::Ingest(const Member& member, const Datagram& datagram,
   }
   member.nic->NoteZoneDelivery(datagram.payload.size());
   PendingDecode pending;
+  pending.cell = cell;
   member.speaker->IngestParsed(parsed, datagram.group, &pending);
   if (pending.valid) {
-    pending.cell = cell;
     jobs->push_back(DecodeJob{member.speaker, std::move(pending)});
   }
 }

@@ -20,7 +20,10 @@
 // session decoder matches plays that same immutable SharedPcm chunk —
 // jittered late members included. Each member still pays its own simulated
 // decode time (§3.4); only the host's work and memory are shared. The cell
-// and its chunk never leave this zone's shard.
+// and its chunk never leave this zone's shard. The cell also holds the
+// batch's one reference to the payload slice, so admitting a member costs
+// no refcount operation on the arrival buffer — an atomic one on a zone off
+// the sender's shard.
 //
 // Every member stage is the speaker's own batched pipeline surface
 // (IngestParsed / RunDecode / RunPlay — src/speaker/speaker.h), the same

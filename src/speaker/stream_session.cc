@@ -23,13 +23,12 @@ Result<SharedPcm> DecodeToPcm(AudioDecoder* decoder,
 }  // namespace
 
 Result<SharedPcm> DecodeCell::Decode(const DecoderKey& key,
-                                     AudioDecoder* decoder,
-                                     const BufferSlice& payload) {
+                                     AudioDecoder* decoder) {
   if (!result_.has_value()) {
     key_ = key;
-    result_ = DecodeToPcm(decoder, payload);
+    result_ = DecodeToPcm(decoder, payload_);
   } else if (!(key == key_)) {
-    return DecodeToPcm(decoder, payload);
+    return DecodeToPcm(decoder, payload_);
   }
   return *result_;
 }
@@ -144,20 +143,20 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   SimTime decode_start = std::max(now, speaker_->decode_busy_until_);
   SimTime decode_done = decode_start + decode_time;
   speaker_->decode_busy_until_ = decode_done;
-  if (speaker_->options_.tracer != nullptr &&
-      speaker_->options_.tracer->span_stages_enabled()) {
+  if (speaker_->tracer_ != nullptr &&
+      speaker_->tracer_->span_stages_enabled()) {
     // Span-plane stage: separates jitter-buffer dwell (receive ->
     // decode_start) from decode itself. decode_start may be in the future
     // when the serialized pipeline is busy, hence RecordAt.
-    speaker_->options_.tracer->RecordAt(packet.stream_id, packet.seq,
-                                        TraceStage::kDecodeStart,
-                                        speaker_->nic_->node_id(),
-                                        decode_start);
+    speaker_->tracer_->RecordAt(packet.stream_id, packet.seq,
+                                TraceStage::kDecodeStart, speaker_->node_id_,
+                                decode_start);
   }
 
   // The packet occupies the jitter buffer from arrival; the payload rides
   // the pipeline as a slice of the arrival buffer (no copy, and the slice
-  // keeps that buffer alive) until the decode stage actually runs.
+  // keeps that buffer alive) until the decode stage actually runs. A zone
+  // member's slice is its batch's, held once in the decode cell.
   queued_pcm_bytes_ += decoded_bytes;
   out->valid = true;
   out->decode_done = decode_done;
@@ -166,7 +165,9 @@ void StreamSession::HandleData(const DataPacket& packet, PendingDecode* out) {
   out->stream_id = packet.stream_id;
   out->seq = packet.seq;
   out->local_deadline = local_deadline;
-  out->payload = packet.payload;
+  if (!out->cell) {
+    out->payload = packet.payload;
+  }
   out->decoded_bytes = decoded_bytes;
 }
 
@@ -178,7 +179,7 @@ void StreamSession::RunDecode(const PendingDecode& pending,
   }
   const DecoderKey key{codec_, *config_, quality_};
   Result<SharedPcm> samples =
-      pending.cell ? pending.cell->Decode(key, decoder_.get(), pending.payload)
+      pending.cell ? pending.cell->Decode(key, decoder_.get())
                    : DecodeToPcm(decoder_.get(), pending.payload);
   if (!samples.ok()) {
     ++speaker_->stats_.decode_errors;
@@ -198,8 +199,8 @@ void StreamSession::OnDecodeComplete(uint32_t stream_id, uint32_t seq,
   SimTime now = speaker_->sim_->now();
   SimDuration lateness = now - local_deadline;
   if (speaker_->options_.lateness_histogram != nullptr) {
-    if (speaker_->options_.tracer != nullptr &&
-        speaker_->options_.tracer->span_stages_enabled()) {
+    if (speaker_->tracer_ != nullptr &&
+        speaker_->tracer_->span_stages_enabled()) {
       // With the span plane on, the observation carries the packet's trace
       // identity so the bucket's exemplar resolves to a retained span tree.
       speaker_->options_.lateness_histogram->ObserveExemplar(

@@ -5,7 +5,7 @@
 // accounting, dedup history, and deadline/silence bookkeeping. The speaker
 // itself (src/speaker/speaker.h) keeps only device-wide state: the NIC, the
 // serialized decode CPU, the aggregate SpeakerStats, and the subscription
-// map routing each arriving datagram's group to its session.
+// list routing each arriving datagram's group to its session.
 //
 // A speaker subscribed to exactly one stream behaves bit-identically to the
 // pre-session speaker: every stage below is the old single-stream code with

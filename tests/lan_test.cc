@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/base/prng.h"
 #include "src/lan/segment.h"
 #include "src/lan/udp_transport.h"
 #include "src/sim/shard.h"
@@ -400,6 +402,151 @@ TEST(SegmentZoneTest, AssignZoneDropsTheEarlierReceiveHandler) {
 
   member->SetReceiveHandler([&](const Datagram&) { ++handled; });
   EXPECT_TRUE(member->has_receive_handler());
+}
+
+// The segment's group -> receiver index against a reference that knows
+// nothing of it: a seeded random sequence of joins, leaves, out-of-order NIC
+// destruction and AssignZone after a join, with loss and jitter on. Every
+// GroupMemberCount must equal a count of IsJoined over all NICs, and every
+// packet's (node, arrival) deliveries must equal what a walk of all NICs in
+// creation order draws from a Prng seeded like the segment's.
+class TaggingZoneSink : public ZoneSink {
+ public:
+  explicit TaggingZoneSink(std::vector<std::pair<NodeId, SimTime>>* out)
+      : out_(out) {}
+  void DeliverBatch(const Datagram&,
+                    std::vector<ZoneDeliveryEntry> entries) override {
+    for (const ZoneDeliveryEntry& entry : entries) {
+      // Members are tagged with their node id.
+      out_->emplace_back(static_cast<NodeId>(entry.member), entry.arrival);
+    }
+  }
+
+ private:
+  std::vector<std::pair<NodeId, SimTime>>* out_;
+};
+
+void RunReceiverIndexScenario(SimDuration join_latency, uint64_t seed) {
+  SegmentConfig config;
+  config.loss_probability = 0.3;
+  config.jitter = Microseconds(200);
+  config.join_latency = join_latency;
+  config.seed = seed;
+  ShardGroup shards(ZoneShardOptions(2));
+  EthernetSegment segment(shards.sim(0), config);
+  segment.EnableSharding(&shards, /*home_shard=*/0);
+  std::vector<std::pair<NodeId, SimTime>> delivered;
+  TaggingZoneSink home_sink(&delivered);
+  TaggingZoneSink far_sink(&delivered);
+  segment.RegisterZoneSink(0, &home_sink);
+  segment.RegisterZoneSink(1, &far_sink);
+
+  // Creation order; destroyed NICs stay as null slots.
+  std::vector<std::unique_ptr<SimNic>> nics;
+  std::vector<bool> zoned;
+  auto add_nic = [&] {
+    nics.push_back(segment.CreateNic());
+    zoned.push_back(false);
+    SimNic* nic = nics.back().get();
+    nic->SetReceiveHandler([&delivered, &shards, nic](const Datagram&) {
+      delivered.emplace_back(nic->node_id(), shards.sim(0)->now());
+    });
+  };
+  for (int i = 0; i < 24; ++i) {
+    add_nic();
+  }
+  SimNic* sender = nics[0].get();
+  const std::vector<GroupId> groups = {9, 10};
+
+  Prng ops(seed * 7 + 1);
+  Prng reference(seed);  // Draws exactly as the segment's own Prng does.
+  uint64_t expected_deliveries = 0;
+  uint64_t expected_lost = 0;
+  auto pick_live = [&]() -> size_t {
+    for (;;) {
+      const size_t i = ops.NextBelow(nics.size());
+      if (nics[i] != nullptr) return i;
+    }
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    const uint64_t op = ops.NextBelow(100);
+    const size_t i = pick_live();
+    const GroupId group = groups[ops.NextBelow(groups.size())];
+    if (op < 40) {
+      ASSERT_TRUE(nics[i]->JoinGroup(group).ok());
+    } else if (op < 60) {
+      (void)nics[i]->LeaveGroup(group);  // NotFound when never joined.
+    } else if (op < 70 && i != 0) {
+      nics[i].reset();  // Possibly with a membership change in flight.
+    } else if (op < 80 && i != 0 && !zoned[i]) {
+      const int shard = static_cast<int>(ops.NextBelow(2));
+      segment.AssignZone(nics[i].get(), shard,
+                         static_cast<int>(nics[i]->node_id()));
+      zoned[i] = true;
+    } else if (op < 84) {
+      add_nic();
+    }
+    shards.RunUntil(shards.now() +
+                    static_cast<SimDuration>(ops.NextBelow(400'000)));
+
+    for (GroupId g : groups) {
+      size_t joined = 0;
+      for (const auto& nic : nics) {
+        if (nic != nullptr && nic->IsJoined(g)) ++joined;
+      }
+      ASSERT_EQ(segment.GroupMemberCount(g), joined)
+          << "group " << g << " step " << step;
+    }
+
+    // Reference fan-out of one packet: every NIC in creation order. The
+    // send runs as a home-shard event, as a real sender's would, so its
+    // cross-shard batch is posted inside an epoch.
+    const GroupId send_group = groups[ops.NextBelow(groups.size())];
+    std::vector<std::pair<NodeId, SimTime>> expected;
+    delivered.clear();
+    shards.sim(0)->ScheduleAt(shards.now(), [&] {
+      const size_t wire_bytes = 3 + config.overhead_bytes;
+      const SimTime wire_done =
+          shards.sim(0)->now() +
+          static_cast<SimDuration>(static_cast<double>(wire_bytes) * 8.0 /
+                                   config.bandwidth_bps *
+                                   static_cast<double>(kSecond));
+      for (const auto& nic : nics) {
+        if (nic == nullptr || nic.get() == sender ||
+            !nic->IsJoined(send_group)) {
+          continue;
+        }
+        ++expected_deliveries;
+        if (reference.NextBool(config.loss_probability)) {
+          ++expected_lost;
+          continue;
+        }
+        expected.emplace_back(
+            nic->node_id(),
+            wire_done + config.base_delay +
+                static_cast<SimDuration>(reference.NextBelow(
+                    static_cast<uint64_t>(config.jitter))));
+      }
+      EXPECT_TRUE(sender->SendMulticast(send_group, {1, 2, 3}).ok());
+    });
+    shards.RunUntil(shards.now() + Milliseconds(1));
+    std::sort(expected.begin(), expected.end());
+    std::sort(delivered.begin(), delivered.end());
+    ASSERT_EQ(delivered, expected) << "step " << step;
+    ASSERT_EQ(segment.stats().deliveries, expected_deliveries);
+    ASSERT_EQ(segment.stats().deliveries_lost, expected_lost);
+  }
+  EXPECT_GT(expected_deliveries, 500u);
+  EXPECT_GT(expected_lost, 0u);
+}
+
+TEST(SegmentZoneTest, ReceiverIndexMatchesFullScanImmediateMembership) {
+  RunReceiverIndexScenario(/*join_latency=*/0, /*seed=*/101);
+}
+
+TEST(SegmentZoneTest, ReceiverIndexMatchesFullScanDeferredMembership) {
+  RunReceiverIndexScenario(/*join_latency=*/Microseconds(300), /*seed=*/202);
 }
 
 // A receive handler on a NIC whose zone lives off the home shard would run

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/base/prng.h"
 #include "src/lan/segment.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/obs/zone_collector.h"
+#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 
 namespace espk {
@@ -429,6 +433,147 @@ TEST(PacketTracerTest, DumpNamesEveryStage) {
   EXPECT_NE(dump.find("encode"), std::string::npos);
   EXPECT_NE(dump.find("play"), std::string::npos);
   EXPECT_NE(dump.find("node 2"), std::string::npos);
+}
+
+// ------------------------------------------------------ trace ring oracle --
+//
+// The tracer's fixed-slot ring against a std::deque reference model: same
+// contents in the same order, same counters and gauge, at every capacity
+// from a single slot to the production default, well past several wraps.
+
+bool SameEvent(const TraceEvent& a, const TraceEvent& b) {
+  return a.stream_id == b.stream_id && a.seq == b.seq && a.stage == b.stage &&
+         a.node == b.node && a.at == b.at && a.recorded == b.recorded;
+}
+
+void ExpectRingMatches(const PacketTracer& tracer,
+                       const std::deque<TraceEvent>& model,
+                       uint64_t pushed, const Gauge* ring_size) {
+  const TraceRing& ring = tracer.events();
+  ASSERT_EQ(ring.size(), model.size()) << "after " << pushed;
+  EXPECT_EQ(tracer.recorded(), pushed);
+  EXPECT_EQ(tracer.dropped(), pushed - model.size());
+  EXPECT_EQ(ring_size->Value(), static_cast<double>(model.size()));
+  size_t i = 0;
+  for (const TraceEvent& event : ring) {
+    ASSERT_TRUE(SameEvent(event, model[i])) << "slot " << i << " after "
+                                            << pushed;
+    ASSERT_TRUE(SameEvent(ring[i], model[i])) << "slot " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, model.size());
+  if (!model.empty()) {
+    EXPECT_TRUE(SameEvent(ring.back(), model.back()));
+  }
+  const std::vector<TraceEvent> copied(ring.begin(), ring.end());
+  EXPECT_EQ(copied.size(), model.size());
+}
+
+TEST(TraceRingTest, MatchesDequeModelAcrossWraps) {
+  for (const size_t capacity : {size_t{1}, size_t{4}, size_t{8192}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Simulation sim;
+    MetricsRegistry registry(&sim);
+    PacketTracer tracer(&sim, capacity);
+    RegisterTracerMetrics(&tracer, &registry);
+    const auto* ring_size =
+        static_cast<const Gauge*>(registry.Find("trace.ring_size"));
+    ASSERT_NE(ring_size, nullptr);
+    EXPECT_EQ(tracer.capacity(), capacity);
+
+    std::deque<TraceEvent> model;
+    Prng prng(capacity);
+    ExpectRingMatches(tracer, model, 0, ring_size);
+    const uint64_t total = 5 * capacity + 3;
+    for (uint64_t n = 1; n <= total; ++n) {
+      sim.RunUntil(sim.now() + static_cast<SimDuration>(prng.NextBelow(3)));
+      TraceEvent event;
+      event.stream_id = static_cast<uint32_t>(prng.NextBelow(4));
+      event.seq = static_cast<uint32_t>(n);
+      event.stage = static_cast<TraceStage>(prng.NextBelow(12));
+      event.node = static_cast<uint32_t>(prng.NextBelow(1000));
+      event.at = sim.now() + static_cast<SimDuration>(prng.NextBelow(50));
+      event.recorded = sim.now();
+      tracer.RecordAt(event.stream_id, event.seq, event.stage, event.node,
+                      event.at);
+      if (model.size() == capacity) {
+        model.pop_front();
+      }
+      model.push_back(event);
+      // Every push at small capacities; around each wrap and at a stride
+      // for the large one (a full comparison per push would be quadratic).
+      const uint64_t phase = n % capacity;
+      if (capacity <= 4 || phase <= 1 || phase == capacity - 1 ||
+          n % 1021 == 0 || n == total) {
+        ExpectRingMatches(tracer, model, n, ring_size);
+      }
+    }
+    // The per-packet queries read the same retained window.
+    const TraceEvent& last = model.back();
+    ASSERT_EQ(tracer.EventsFor(last.stream_id, last.seq).size(), 1u);
+    EXPECT_TRUE(SameEvent(tracer.EventsFor(last.stream_id, last.seq)[0],
+                          last));
+    EXPECT_TRUE(tracer.EventsFor(model.front().stream_id,
+                                 model.front().seq - 1)
+                    .empty());
+  }
+}
+
+// A zone ring smaller than one epoch's recording wraps between barriers:
+// the collector merges only what the ring still holds, in (recorded, zone,
+// position) order, and counts the rest as merge_lost.
+TEST(ZoneCollectorTest, RingWrapBetweenBarriersCountsMergeLost) {
+  ShardGroup::Options options;
+  options.shards = 2;
+  options.lookahead = Microseconds(50);
+  ShardGroup shards(options);
+  PacketTracer merged(shards.sim(0), /*capacity=*/64);
+  PacketTracer zone0(shards.sim(0), /*capacity=*/4);
+  PacketTracer zone1(shards.sim(1), /*capacity=*/4);
+  ZoneCollector collector(&shards, &merged, {&zone0, &zone1});
+
+  // Epoch [0, 50us): zone 0 records 10 events (6 fall off its ring before
+  // the barrier), zone 1 records 2 — all at 10 us.
+  shards.sim(0)->ScheduleAt(Microseconds(10), [&zone0] {
+    for (uint32_t seq = 0; seq < 10; ++seq) {
+      zone0.Record(1, seq, TraceStage::kPlay, 100);
+    }
+  });
+  shards.sim(1)->ScheduleAt(Microseconds(10), [&zone1] {
+    for (uint32_t seq = 0; seq < 2; ++seq) {
+      zone1.Record(2, seq, TraceStage::kPlay, 200);
+    }
+  });
+  shards.RunUntil(Microseconds(50));
+  EXPECT_EQ(zone0.dropped(), 6u);
+  EXPECT_EQ(collector.merge_lost(), 6u);
+  EXPECT_EQ(collector.events_merged(), 6u);
+  ASSERT_EQ(merged.events().size(), 6u);
+  // Zone 0's four survivors (seq 6..9), then zone 1's two: same instant,
+  // so zone order breaks the tie.
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(merged.events()[i].stream_id, 1u);
+    EXPECT_EQ(merged.events()[i].seq, 6 + i);
+  }
+  EXPECT_EQ(merged.events()[4].stream_id, 2u);
+  EXPECT_EQ(merged.events()[4].seq, 0u);
+  EXPECT_EQ(merged.events()[5].seq, 1u);
+
+  // Next epoch: three more on zone 0 fit the ring — nothing more is lost,
+  // even though the ring wrapped again since the last barrier.
+  shards.sim(0)->ScheduleAt(Microseconds(60), [&zone0] {
+    for (uint32_t seq = 10; seq < 13; ++seq) {
+      zone0.Record(1, seq, TraceStage::kPlay, 100);
+    }
+  });
+  shards.RunUntil(Microseconds(100));
+  EXPECT_EQ(collector.merge_lost(), 6u);
+  EXPECT_EQ(collector.events_merged(), 9u);
+  ASSERT_EQ(merged.events().size(), 9u);
+  EXPECT_EQ(merged.events().back().seq, 12u);
+  EXPECT_EQ(merged.events()[6].seq, 10u);
+  EXPECT_EQ(merged.recorded(), 9u);
+  EXPECT_EQ(merged.dropped(), 0u);
 }
 
 }  // namespace

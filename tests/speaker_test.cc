@@ -21,6 +21,7 @@
 #include "src/speaker/auto_volume.h"
 #include "src/speaker/playback.h"
 #include "src/speaker/speaker.h"
+#include "src/speaker/speaker_zone.h"
 
 namespace espk {
 namespace {
@@ -575,6 +576,133 @@ TEST(ZoneDecodeSharingTest, TwoZonesShareWithinEachAndMatchWidthOne) {
         speakers[i]->output()->Render(Seconds(1), Seconds(2)),
         narrow->speakers()[i]->output()->Render(Seconds(1), Seconds(2))))
         << i;
+  }
+}
+
+// ----------------------------------------------- zone payload ownership --
+//
+// A zone batch's payload slice lives in the batch's decode cell, once, not
+// in every member's decode obligation: between admission and decode the
+// arrival buffer's reference count does not depend on the zone's size.
+
+class PayloadZone {
+ public:
+  // `odd_member` (if in range) adopts a control packet whose quality index
+  // differs, so its DecoderKey differs from everyone else's.
+  PayloadZone(int members, int odd_member)
+      : segment_(&sim_, SegmentConfig{}), zone_(&sim_) {
+    SpeakerOptions options;
+    options.decode_speed_factor = 0.25;  // Decode lands in a later event.
+    for (int i = 0; i < members; ++i) {
+      nics_.push_back(segment_.CreateNic());
+      options.name = "es" + std::to_string(i);
+      speakers_.push_back(
+          std::make_unique<EthernetSpeaker>(&sim_, nics_.back().get(), options));
+      EXPECT_TRUE(speakers_.back()->Subscribe(kGroup).ok());
+      nics_.back()->SetReceiveHandler(nullptr);  // The zone delivers.
+      zone_.AddSpeaker(nics_.back().get(), speakers_.back().get());
+    }
+    ControlPacket control;
+    control.stream_id = 1;
+    control.control_seq = 1;
+    control.config = config_;
+    control.codec = CodecId::kRaw;
+    control.quality = 10;
+    std::vector<ZoneDeliveryEntry> common;
+    std::vector<ZoneDeliveryEntry> odd;
+    for (int i = 0; i < members; ++i) {
+      (i == odd_member ? odd : common).push_back(ZoneDeliveryEntry{i, 0});
+    }
+    Deliver(SerializePacket(control), common);
+    control.quality = 3;
+    Deliver(SerializePacket(control), odd);
+    sim_.Run();
+  }
+
+  void Deliver(const BufferSlice& payload,
+               std::vector<ZoneDeliveryEntry> entries) {
+    if (entries.empty()) return;
+    Datagram d;
+    d.group = kGroup;
+    d.payload = payload;
+    zone_.DeliverBatch(d, std::move(entries));
+  }
+
+  std::vector<ZoneDeliveryEntry> Everyone() const {
+    std::vector<ZoneDeliveryEntry> entries;
+    for (size_t i = 0; i < speakers_.size(); ++i) {
+      entries.push_back(ZoneDeliveryEntry{static_cast<int>(i), sim_.now()});
+    }
+    return entries;
+  }
+
+  static constexpr GroupId kGroup = 5;
+  AudioConfig config_{8000, 1, AudioEncoding::kLinearS16};
+  Simulation sim_;
+  EthernetSegment segment_;
+  SpeakerZone zone_;
+  std::vector<std::unique_ptr<SimNic>> nics_;
+  std::vector<std::unique_ptr<EthernetSpeaker>> speakers_;
+};
+
+DataPacket PinData() {
+  DataPacket data;
+  data.stream_id = 1;
+  data.seq = 0;
+  data.play_deadline = Milliseconds(100);
+  data.frame_count = 800;
+  SineGenerator gen(440.0);
+  data.payload =
+      gen.GenerateBytes(800, AudioConfig{8000, 1, AudioEncoding::kLinearS16});
+  return data;
+}
+
+TEST(ZonePayloadTest, MembersHoldNoPayloadReferenceOfTheirOwn) {
+  const DataPacket data = PinData();
+  int use_count[2] = {0, 0};
+  const int sizes[2] = {1, 64};
+  for (int k = 0; k < 2; ++k) {
+    PayloadZone zone(sizes[k], /*odd_member=*/-1);
+    const BufferSlice arrival = SerializePacketSlice(data);
+    zone.Deliver(arrival, zone.Everyone());
+    // Admitted everywhere, decode still pending.
+    ASSERT_EQ(zone.speakers_[0]->queued_pcm_bytes(), 800 * sizeof(float));
+    ASSERT_EQ(zone.speakers_[0]->stats().chunks_played, 0u);
+    use_count[k] = arrival.use_count();
+    zone.sim_.Run();
+    for (const auto& speaker : zone.speakers_) {
+      EXPECT_EQ(speaker->stats().chunks_played, 1u) << speaker->name();
+    }
+    // Played chunks hold decoded PCM, not the packet.
+    EXPECT_EQ(arrival.use_count(), 1);
+  }
+  EXPECT_EQ(use_count[0], use_count[1]);
+}
+
+TEST(ZonePayloadTest, MemberWithAnotherDecoderKeyDecodesTheCellPayload) {
+  const DataPacket data = PinData();
+  const int odd = 1;
+  PayloadZone zone(64, odd);
+  zone.Deliver(SerializePacketSlice(data), zone.Everyone());
+  zone.sim_.Run();
+
+  Result<std::unique_ptr<AudioDecoder>> decoder =
+      CreateDecoder(CodecId::kRaw, zone.config_, 3);
+  ASSERT_TRUE(decoder.ok());
+  Result<std::vector<float>> expected = (*decoder)->DecodePacket(data.payload);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(Peak(*expected), 0.0);
+  const std::vector<const float*> shared = ChunkStorage(zone.speakers_[0].get());
+  ASSERT_EQ(shared.size(), 1u);
+  for (size_t i = 0; i < zone.speakers_.size(); ++i) {
+    EthernetSpeaker* speaker = zone.speakers_[i].get();
+    ASSERT_EQ(speaker->stats().chunks_played, 1u) << i;
+    const SharedPcm& samples = speaker->output()->segments()[0].samples;
+    EXPECT_TRUE(BitIdentical(std::vector<float>(samples.begin(), samples.end()),
+                             *expected))
+        << i;
+    // Everyone but the odd member plays the cell's one decode.
+    EXPECT_EQ(samples.data() == shared[0], i != odd) << i;
   }
 }
 
